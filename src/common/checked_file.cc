@@ -9,6 +9,10 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'I', 'M', 'C', 'K', 'V', '2', '\n'};
 constexpr uint32_t kFormatVersion = 2;
+// Smallest section-table entry: empty name (u64 length), payload_len (u64)
+// and crc32 (u32).
+constexpr size_t kMinTableEntryBytes =
+    2 * sizeof(uint64_t) + sizeof(uint32_t);
 
 }  // namespace
 
@@ -74,6 +78,16 @@ Result<CheckedFileReader> CheckedFileReader::FromBytes(
   }
   SIMCARD_RETURN_IF_ERROR(in.ReadU32(&section_count));
   SIMCARD_RETURN_IF_ERROR(in.ReadU64(&payload_length));
+  // The count is not yet covered by a verified CRC: bound it by what the
+  // remaining bytes can hold before reserving, so a flipped high bit cannot
+  // ask for a multi-GB table.
+  if (section_count > in.remaining() / kMinTableEntryBytes) {
+    return Status::IoError("checked container: section count " +
+                           std::to_string(section_count) +
+                           " exceeds what the remaining " +
+                           std::to_string(in.remaining()) +
+                           " bytes can hold");
+  }
 
   CheckedFileReader reader;
   reader.sections_.reserve(section_count);

@@ -105,7 +105,10 @@ Status Matrix::Deserialize(Deserializer* in) {
   SIMCARD_RETURN_IF_ERROR(in->ReadU64(&cols));
   std::vector<float> data;
   SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&data));
-  if (data.size() != rows * cols) {
+  // rows * cols can wrap for a corrupt shape (2^62 x 4 "is" 8 floats):
+  // a product that overflows never matches the payload.
+  uint64_t elems = 0;
+  if (__builtin_mul_overflow(rows, cols, &elems) || data.size() != elems) {
     return Status::Internal("matrix payload size mismatch");
   }
   rows_ = rows;

@@ -24,6 +24,8 @@ constexpr uint64_t kFrameHeaderBytes = 8;
 // Frames carry at most a kInsert payload: type + dim floats. Anything larger
 // in a length field is corruption, rejected before allocation.
 constexpr uint64_t kMaxPayloadBytes = 64ull * 1024 * 1024;
+// Widest insert whose frame (type u32 + dim floats) fits kMaxPayloadBytes.
+constexpr uint64_t kMaxInsertDim = (kMaxPayloadBytes - 4) / sizeof(float);
 
 constexpr const char kFaultSite[] = "update.journal_io";
 
@@ -210,8 +212,15 @@ Result<DeltaJournal::ReplayResult> DeltaJournal::Replay(
     return Status::IoError("unsupported journal version " +
                               std::to_string(version));
   }
+  // A dim no insert frame can carry is header corruption, not a torn tail:
+  // accepting it would discard every insert (or wrap the frame-size check).
+  if (dim == 0 || dim > kMaxInsertDim) {
+    return Status::IoError("journal header dim " + std::to_string(dim) +
+                           " out of range: " + path);
+  }
 
   ReplayResult result;
+  result.dim = dim;
   result.valid_bytes = kHeaderBytes;
   uint64_t pos = kHeaderBytes;
   // Walk frames until the first one that does not fully parse; everything

@@ -13,7 +13,7 @@
 //
 //   magic     8 bytes  "SIMCJNL1"
 //   version   u32      currently 1
-//   dim       u64      width of insert payloads (0 until the epoch mark)
+//   dim       u64      width of insert payloads (Replay refuses 0)
 //   records   framed, back to back:
 //     payload_len  u32
 //     payload_crc  u32   CRC-32 of the payload bytes (common/crc32)
@@ -125,6 +125,7 @@ class DeltaJournal {
   /// \brief What Replay() recovered.
   struct ReplayResult {
     std::vector<JournalRecord> records;  ///< longest valid prefix, in order
+    uint64_t dim = 0;           ///< header width of insert payloads
     uint64_t valid_bytes = 0;   ///< header + every fully-valid frame
     uint64_t discarded_bytes = 0;  ///< torn/corrupt tail past valid_bytes
     bool tail_truncated = false;   ///< discarded_bytes > 0
@@ -132,7 +133,9 @@ class DeltaJournal {
 
   /// Reads `path` and returns every record of the longest valid prefix.
   /// A torn or corrupt tail is never an error — it is measured and
-  /// excluded; only a missing/unreadable file or a bad header fails.
+  /// excluded; only a missing/unreadable file or a bad header fails. A
+  /// header `dim` of 0, or one too wide for any insert frame, is a bad
+  /// header.
   static Result<ReplayResult> Replay(const std::string& path);
 
  private:

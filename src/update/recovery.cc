@@ -208,6 +208,13 @@ Result<std::unique_ptr<UpdateManager>> UpdateManager::RecoverFrom(
   auto replay_or = DeltaJournal::Replay(journal_path);
   SIMCARD_RETURN_IF_ERROR(replay_or.status());
   const DeltaJournal::ReplayResult replay = std::move(replay_or).value();
+  // A header dim that disagrees with the manifest is corruption: its inserts
+  // read as a torn tail, and OpenForAppend below would truncate them away.
+  if (replay.dim != manifest.dim) {
+    return Status::IoError("journal header dim " + std::to_string(replay.dim) +
+                           " disagrees with manifest dim " +
+                           std::to_string(manifest.dim) + ": " + journal_path);
+  }
   if (replay.tail_truncated && obs::MetricsEnabled()) {
     RecoveryMetrics::Get().truncated_tails->Increment();
   }

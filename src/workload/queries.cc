@@ -175,7 +175,9 @@ Status DeserializeQuerySet(Deserializer* in,
     SIMCARD_RETURN_IF_ERROR(in->ReadU32(&lq.row));
     uint64_t taus = 0;
     SIMCARD_RETURN_IF_ERROR(in->ReadU64(&taus));
-    if (taus * sizeof(float) > in->remaining()) {
+    // Division, not taus * sizeof(float): the product wraps for a corrupt
+    // count with bit 62 or 63 set.
+    if (taus > in->remaining() / sizeof(float)) {
       return Status::OutOfRange("threshold count exceeds buffer");
     }
     lq.thresholds.resize(taus);

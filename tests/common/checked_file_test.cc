@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 namespace simcard {
@@ -93,6 +94,24 @@ TEST(CheckedFileTest, HeaderBitFlipIsDetected) {
     auto bytes = clean;
     bytes[off] ^= 0x80;
     EXPECT_FALSE(CheckedFileReader::FromBytes(bytes).ok()) << "offset " << off;
+  }
+}
+
+// The section count is read before the header CRC can vouch for it. A count
+// the remaining bytes cannot hold is refused before anything is reserved, so
+// this holds on every host, not only where a ~120 GB reservation fails.
+TEST(CheckedFileTest, SectionCountBeyondBufferIsRefused) {
+  constexpr size_t kSectionCountOffset = 8 + 4;  // magic + format_version
+  for (uint32_t count : {0x80000002u, 0xFFFFFFFFu}) {
+    auto bytes = TwoSectionContainer();
+    std::memcpy(bytes.data() + kSectionCountOffset, &count, sizeof(count));
+    auto reader_or = CheckedFileReader::FromBytes(bytes);
+    ASSERT_FALSE(reader_or.ok()) << "count " << count;
+    EXPECT_EQ(reader_or.status().code(), StatusCode::kIoError)
+        << reader_or.status().ToString();
+    EXPECT_NE(reader_or.status().message().find("section count"),
+              std::string::npos)
+        << reader_or.status().ToString();
   }
 }
 

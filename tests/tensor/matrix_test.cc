@@ -109,6 +109,27 @@ TEST(MatrixTest, SerializationRoundTrip) {
   EXPECT_TRUE(m.AllClose(restored, 0.0f));
 }
 
+// rows * cols wraps when bit 62 or 63 of a dimension is set: a 2x4 matrix
+// whose rows read as 2 | 2^62 must not load as a 2^62+2 x 4 view of 8 floats.
+TEST(MatrixTest, DeserializeRejectsShapeThatWraps) {
+  Serializer out;
+  Matrix::Full(2, 4, 1.5f).Serialize(&out);
+  for (size_t field = 0; field < 2; ++field) {  // rows, then cols (u64 each)
+    for (int bit : {62, 63}) {
+      std::vector<uint8_t> bytes = out.bytes();
+      bytes[field * sizeof(uint64_t) + bit / 8] ^=
+          static_cast<uint8_t>(1u << (bit % 8));
+      Deserializer in(bytes);
+      Matrix restored;
+      const Status st = restored.Deserialize(&in);
+      EXPECT_FALSE(st.ok()) << "field " << field << " bit " << bit;
+      EXPECT_NE(st.message().find("size mismatch"), std::string::npos)
+          << st.ToString();
+      EXPECT_EQ(restored.rows(), 0u);
+    }
+  }
+}
+
 TEST(MatrixTest, ToStringShowsShape) {
   Matrix m(2, 3);
   EXPECT_NE(m.ToString().find("2x3"), std::string::npos);

@@ -183,6 +183,53 @@ TEST(DeltaJournalTest, ReplayRejectsBadHeader) {
   EXPECT_FALSE(DeltaJournal::Replay(tmp.path("missing.wal")).ok());
 }
 
+// The header dim is untrusted input. A flip of any of its 64 bits must come
+// back as a Status (bits 62 and 63 used to wrap the insert frame-size check
+// and throw from resize), and whatever replays reports the dim it read, so
+// recovery can compare it with the manifest.
+TEST(DeltaJournalTest, HeaderDimBitFlipsNeverThrow) {
+  TempDir tmp;
+  const std::string path = tmp.path("journal-1.wal");
+  const size_t dim = 4;
+  {
+    auto journal = DeltaJournal::Create(path, dim, JournalOptions{}).value();
+    ASSERT_TRUE(journal->AppendEpochMark(1, 10).ok());
+    ASSERT_TRUE(journal->AppendInsert(Point(dim, 1.0f)).ok());
+    ASSERT_TRUE(journal->AppendInsert(Point(dim, 2.0f)).ok());
+    ASSERT_TRUE(journal->AppendErase(3).ok());
+    ASSERT_TRUE(journal->Sync().ok());
+  }
+  EXPECT_EQ(DeltaJournal::Replay(path).value().dim, dim);
+
+  constexpr std::streamoff kDimOffset = 8 + 4;  // magic + version
+  const std::string flipped = tmp.path("flipped.wal");
+  for (int bit = 0; bit < 64; ++bit) {
+    SCOPED_TRACE("bit " + std::to_string(bit));
+    std::filesystem::copy_file(
+        path, flipped, std::filesystem::copy_options::overwrite_existing);
+    {
+      std::fstream f(flipped, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(kDimOffset + bit / 8);
+      char byte = 0;
+      f.read(&byte, 1);
+      f.seekp(kDimOffset + bit / 8);
+      byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+      f.write(&byte, 1);
+    }
+    const uint64_t flipped_dim = dim ^ (uint64_t{1} << bit);
+    Result<DeltaJournal::ReplayResult> replay_or = Status::Internal("not run");
+    EXPECT_NO_THROW(replay_or = DeltaJournal::Replay(flipped));
+    if (flipped_dim == 0 || bit >= 62) {
+      EXPECT_FALSE(replay_or.ok());
+    }
+    if (replay_or.ok()) {
+      EXPECT_EQ(replay_or.value().dim, flipped_dim);
+    } else {
+      EXPECT_EQ(replay_or.status().code(), StatusCode::kIoError);
+    }
+  }
+}
+
 TEST(DeltaJournalTest, FaultSiteFailsAppendAndSync) {
   TempDir tmp;
   auto journal =

@@ -8,12 +8,14 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/serialize.h"
 #include "data/generators.h"
 #include "eval/harness.h"
 #include "obs/segment_health.h"
@@ -390,6 +392,39 @@ TEST(RecoveryTest, FailedJournalAppendLeavesNoGhostDelta) {
   ASSERT_TRUE(manager->Erase(2).ok());
   ASSERT_TRUE(manager->Refresh().value().refreshed);
   EXPECT_EQ(manager->dataset().size(), f.base_rows + 3 - 3);
+}
+
+// A journal whose header dim disagrees with the manifest still replays (its
+// inserts read as a torn tail), so recovery must refuse it before
+// OpenForAppend truncates those acknowledged inserts away.
+TEST(RecoveryTest, JournalDimMismatchIsRefusedAndFileKept) {
+  DurableFixture f;
+  const UpdateOptions opts = f.DurableOptions();
+  serve::ModelRegistry registry;
+  auto manager = f.MakeManager(&registry, opts);
+  ASSERT_TRUE(manager->Start(*f.est).ok());
+  const Matrix inserted =
+      MakeAnalogUpdates("glove-sim", Scale::kTiny, 2, 107).value();
+  Ingest(manager.get(), inserted, 1);
+  manager.reset();  // kill
+
+  const std::string journal = JournalPath(opts.journal_dir, 1);
+  std::vector<uint8_t> bytes = ReadFileBytes(journal).value();
+  bytes[8 + 4] ^= 0x01;  // low bit of the header dim (after magic + version)
+  {
+    std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  serve::ModelRegistry after;
+  auto recovered = UpdateManager::RecoverFrom(&after, opts, &f.config);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+  EXPECT_NE(recovered.status().message().find("dim"), std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_FALSE(after.has_model());
+  EXPECT_EQ(ReadFileBytes(journal).value(), bytes);
 }
 
 // Satellite (a): the bounded buffer sheds with kUnavailable once full and

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/serialize.h"
 #include "data/generators.h"
 #include "index/ground_truth.h"
 
@@ -155,6 +158,37 @@ TEST(WorkloadTest, DeterministicForSeed) {
     for (size_t t = 0; t < a.train[i].thresholds.size(); ++t) {
       EXPECT_EQ(a.train[i].thresholds[t].tau, b.train[i].thresholds[t].tau);
     }
+  }
+}
+
+// workload.bin carries no CRC, so a threshold count is untrusted: with bit
+// 62 or 63 set, taus * sizeof(float) wraps to a small number. A flip of any
+// of bits 61-63 must come back as OutOfRange, never as a throw from resize().
+TEST(WorkloadTest, CorruptThresholdCountIsOutOfRange) {
+  Env env = MakeEnv();
+  const auto wl = BuildSearchWorkload(env.dataset, &env.segmentation,
+                                      SmallOptions()).value();
+  Serializer out;
+  SerializeQueries(wl, &out);
+  // Layout: train matrix, test matrix, train set count (u64), then the first
+  // train query's row (u32) and threshold count (u64).
+  Serializer matrices;
+  wl.train_queries.Serialize(&matrices);
+  wl.test_queries.Serialize(&matrices);
+  const size_t taus_offset =
+      matrices.bytes().size() + sizeof(uint64_t) + sizeof(uint32_t);
+  uint64_t taus = 0;
+  std::memcpy(&taus, out.bytes().data() + taus_offset, sizeof(taus));
+  ASSERT_EQ(taus, wl.train[0].thresholds.size());
+
+  for (int bit = 61; bit < 64; ++bit) {
+    std::vector<uint8_t> bytes = out.bytes();
+    bytes[taus_offset + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    Deserializer in(bytes);
+    Result<SearchWorkload> restored = Status::Internal("not run");
+    EXPECT_NO_THROW(restored = DeserializeQueries(&in)) << "bit " << bit;
+    EXPECT_EQ(restored.status().code(), StatusCode::kOutOfRange)
+        << "bit " << bit << ": " << restored.status().ToString();
   }
 }
 
