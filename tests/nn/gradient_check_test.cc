@@ -30,6 +30,11 @@ struct LayerCase {
   double tol = kTol;
 };
 
+// Without a printer gtest dumps the raw bytes, heap and code addresses
+// included, into the value that ctest folds into each test's name, so the
+// names changed with every build. Print the case name instead.
+void PrintTo(const LayerCase& c, std::ostream* os) { *os << c.name; }
+
 class LayerGradientTest : public ::testing::TestWithParam<LayerCase> {};
 
 TEST_P(LayerGradientTest, AnalyticMatchesNumeric) {

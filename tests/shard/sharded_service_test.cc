@@ -110,7 +110,14 @@ TEST_F(ShardedServiceTest, SingleShardMatchesPlainServiceBitwise) {
   plain_registry.Publish(build.models[0]);
   serve::EstimationService plain(&plain_registry, serve::ServeOptions{});
 
-  Tier tier = MakeTier(1);
+  // After warmup the hedge fires at 2 x p99 (at least 0.2 ms), so a primary
+  // that CPU contention holds up loses to the fallback at the default
+  // strict first-answer-wins. A full grace window, as the CLI drills use,
+  // lets a merely slow primary land and win; a fired hedge is then wasted
+  // and must leave the sum untouched.
+  ShardedServeOptions options;
+  options.hedge.grace_ms = 5000.0;
+  Tier tier = MakeTier(1, options);
   const Matrix& queries = SharedEnv().workload.test_queries;
   const size_t dim = queries.cols();
   for (size_t q = 0; q < std::min<size_t>(queries.rows(), 12); ++q) {
