@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
   const size_t n_queries = std::min<size_t>(10, env.workload.test.size());
   for (size_t i = 0; i < n_queries; ++i) {
     const float* q = env.workload.test_queries.Row(i);
-    const float tau = InvertCardinality(&estimator, q, target, 0.0f, 1.0f);
+    const std::span<const float> query(q, env.workload.test_queries.cols());
+    const float tau = InvertCardinality(&estimator, query, target, 0.0f, 1.0f);
     EstimateRequest request;
-    request.query =
-        std::span<const float>(q, env.workload.test_queries.cols());
+    request.query = query;
     request.tau = tau;
     const double est = estimator.Estimate(request);
     const size_t truth = exact.Count(q, tau);

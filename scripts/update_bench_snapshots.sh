@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the committed bench snapshots at the repo root:
 #
-#   BENCH_serve.json    bench_serve_throughput   (serving-layer QPS)
-#   BENCH_batch.json    bench_batch_throughput   (batched pipeline QPS)
 #   BENCH_table6.json   bench_table6_search_latency (per-query latency)
 #   BENCH_update.json   bench_update_staleness   (refresh cost/accuracy)
 #   BENCH_journal.json  bench_journal_overhead   (WAL durability tax)
@@ -35,7 +33,6 @@ if [[ ! -d "$BUILD_DIR" ]]; then
   cmake -B "$BUILD_DIR" -S .
 fi
 cmake --build "$BUILD_DIR" -j --target \
-  bench_serve_throughput bench_batch_throughput \
   bench_table6_search_latency bench_update_staleness \
   bench_journal_overhead bench_shard_scatter bench_feedback_drift
 
@@ -48,8 +45,6 @@ run() {
   python3 scripts/check_metrics_json.py "$out"
 }
 
-run bench_serve_throughput BENCH_serve.json --clients=1,2 --serve-threads=2
-run bench_batch_throughput BENCH_batch.json
 run bench_table6_search_latency BENCH_table6.json
 # update_staleness is a table bench, not google-benchmark: no min-time flag.
 echo "=== bench_update_staleness -> BENCH_update.json ==="
@@ -74,6 +69,5 @@ echo "=== bench_feedback_drift -> BENCH_feedback.json ==="
   --json=BENCH_feedback.json
 python3 scripts/check_metrics_json.py BENCH_feedback.json
 
-echo "snapshots updated: BENCH_serve.json BENCH_batch.json" \
-     "BENCH_table6.json BENCH_update.json BENCH_journal.json" \
-     "BENCH_shard.json BENCH_feedback.json"
+echo "snapshots updated: BENCH_table6.json BENCH_update.json" \
+     "BENCH_journal.json BENCH_shard.json BENCH_feedback.json"

@@ -37,19 +37,14 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: simcard_cli "
-    "<generate|train|estimate|evaluate|serve-bench|update-bench|"
-    "telemetry-dump|chaos-drill|shard-bench|feedback-bench> "
+    "<generate|train|estimate|evaluate|update-bench|telemetry-dump|"
+    "chaos-drill|shard-bench|feedback-bench> "
     "[flags]\n"
     "  generate --dataset=<analog> [--scale=S] [--seed=N] --out=FILE\n"
     "  train    --data=FILE --method=M [--segments=N] [--scale=S]\n"
     "           [--seed=N] --out=FILE        (M in GL+/Local+/GL-CNN/GL-MLP)\n"
     "  estimate --data=FILE --model=FILE --query-row=N --tau=X\n"
     "  evaluate --data=FILE --model=FILE [--segments=N] [--seed=N]\n"
-    "  serve-bench --data=FILE --model=FILE [--threads=N] [--clients=N]\n"
-    "           [--requests=N] [--tau=X] [--deadline-ms=D]\n"
-    "           [--queue-capacity=N] [--max-batch=N] [--linger-us=U]\n"
-    "           (concurrent serving throughput; max-batch > 1 coalesces\n"
-    "           queued requests into one batched forward pass)\n"
     "  update-bench --data=FILE --model=FILE [--delta-fraction=F]\n"
     "           [--refresh-threshold=N] [--refresh-epochs=N]\n"
     "           [--refresh-stale-fraction=F] [--refresh-stale-shift=F]\n"
@@ -304,107 +299,6 @@ int CmdEvaluate(const CommandLine& cl, std::ostream& out, std::ostream& err) {
   out << "mean latency: " << FormatPaperNumber(result.mean_latency_ms)
       << " ms/query over " << result.qerror.count << " test samples\n";
   return 0;
-}
-
-// Drives the concurrent serving layer against a saved model: N client
-// threads submit requests through an EstimationService and the command
-// reports throughput, latency percentiles, and shed/deadline counts.
-int CmdServeBench(const CommandLine& cl, std::ostream& out,
-                  std::ostream& err) {
-  const std::string data_path = cl.GetString("data", "");
-  const std::string model_path = cl.GetString("model", "");
-  if (data_path.empty() || model_path.empty()) {
-    err << "serve-bench: --data and --model are required\n";
-    return 2;
-  }
-  auto data_or = LoadDataset(data_path);
-  if (!data_or.ok()) return Fail(err, data_or.status());
-  const Dataset& dataset = data_or.value();
-  auto est_or = LoadModel(cl, model_path);
-  if (!est_or.ok()) return Fail(err, est_or.status());
-  const std::shared_ptr<const GlEstimator> model = std::move(est_or).value();
-
-  serve::ServeOptions options;
-  options.num_threads = static_cast<size_t>(cl.GetInt("threads", 4));
-  options.queue_capacity =
-      static_cast<size_t>(cl.GetInt("queue-capacity", 1024));
-  options.default_deadline_ms = cl.GetDouble("deadline-ms", 100.0);
-  options.max_batch = static_cast<size_t>(
-      std::max<int64_t>(1, cl.GetInt("max-batch", 1)));
-  options.batch_linger_us = cl.GetDouble("linger-us", 50.0);
-  const size_t clients =
-      std::max<int64_t>(1, cl.GetInt("clients", 4));
-  const size_t per_client =
-      std::max<int64_t>(1, cl.GetInt("requests", 2000));
-  const float tau = static_cast<float>(cl.GetDouble("tau", 0.1));
-
-  serve::ModelRegistry registry;
-  registry.Publish(model);
-  serve::EstimationService service(&registry, options);
-
-  std::atomic<uint64_t> ok{0};
-  std::atomic<uint64_t> shed{0};
-  std::atomic<uint64_t> deadline{0};
-  std::vector<std::vector<double>> latencies(clients);
-  Stopwatch wall;
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      latencies[c].reserve(per_client);
-      for (size_t i = 0; i < per_client; ++i) {
-        const size_t row = (c * per_client + i) % dataset.size();
-        EstimateRequest request;
-        request.query =
-            std::span<const float>(dataset.Point(row), dataset.dim());
-        request.tau = tau;
-        request.options.deadline_ms = options.default_deadline_ms;
-        serve::EstimateResponse response = service.Submit(request).get();
-        switch (response.status.code()) {
-          case StatusCode::kOk:
-            ok.fetch_add(1);
-            latencies[c].push_back(response.total_us);
-            break;
-          case StatusCode::kDeadlineExceeded:
-            deadline.fetch_add(1);
-            break;
-          default:
-            shed.fetch_add(1);
-            break;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  service.Drain();
-  const double seconds = wall.ElapsedSeconds();
-
-  std::vector<double> all;
-  for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  auto pct = [&](double p) -> double {
-    if (all.empty()) return 0.0;
-    const size_t idx = std::min(
-        all.size() - 1, static_cast<size_t>(p * static_cast<double>(
-                                                    all.size() - 1)));
-    return all[idx];
-  };
-
-  const uint64_t total = clients * per_client;
-  out << "serve-bench: " << total << " requests, " << clients
-      << " clients, " << options.num_threads << " workers, deadline "
-      << FormatPaperNumber(options.default_deadline_ms) << " ms, max-batch "
-      << options.max_batch << "\n";
-  out << "  ok " << ok.load() << ", shed " << shed.load()
-      << ", deadline-exceeded " << deadline.load() << " (breaker trips "
-      << service.breaker()->trips() << ")\n";
-  out << "  wall " << FormatPaperNumber(seconds) << " s, "
-      << FormatPaperNumber(static_cast<double>(total) / seconds)
-      << " req/s\n";
-  out << "  latency us p50 " << FormatPaperNumber(pct(0.50)) << ", p95 "
-      << FormatPaperNumber(pct(0.95)) << ", p99 "
-      << FormatPaperNumber(pct(0.99)) << "\n";
-  return ok.load() > 0 ? 0 : 1;
 }
 
 // Online-update drill: loads a served model, stages --delta-fraction of the
@@ -1783,8 +1677,6 @@ int RunCliApp(int argc, const char* const* argv, std::ostream& out,
     rc = CmdEstimate(cl, out, err);
   } else if (command == "evaluate") {
     rc = CmdEvaluate(cl, out, err);
-  } else if (command == "serve-bench") {
-    rc = CmdServeBench(cl, out, err);
   } else if (command == "update-bench") {
     rc = CmdUpdateBench(cl, out, err);
   } else if (command == "telemetry-dump") {

@@ -18,9 +18,9 @@
 // sections by name, so new sections can be appended without breaking old
 // readers and unknown sections are skipped (forward compatibility).
 //
-// Files that do not begin with the magic are not an error at Open-time
-// detection level: callers probe with CheckedFileReader::LooksChecked and
-// fall back to their legacy (v1, unchecksummed) parse for old files.
+// Bytes that do not begin with the magic are refused by
+// CheckedFileReader::FromBytes with InvalidArgument before anything else is
+// read.
 #ifndef SIMCARD_COMMON_CHECKED_FILE_H_
 #define SIMCARD_COMMON_CHECKED_FILE_H_
 

@@ -27,13 +27,10 @@ double Estimator::EstimateJoin(const Matrix& queries,
   return total;
 }
 
-float InvertCardinality(Estimator* estimator, const float* query,
+float InvertCardinality(Estimator* estimator, std::span<const float> query,
                         double target, float lo, float hi, int iterations) {
-  // The caller hands us a bare pointer, so the request carries the
-  // legacy empty-span encoding (length unknown, trust dim()).
   const auto at = [&](float tau) {
-    return estimator->Estimate(EstimateRequest{
-        std::span<const float>(query, static_cast<size_t>(0)), tau, {}});
+    return estimator->Estimate(EstimateRequest{query, tau, {}});
   };
   if (at(hi) < target) return hi;
   for (int i = 0; i < iterations && lo < hi; ++i) {

@@ -1,12 +1,9 @@
 // Common interface implemented by every cardinality estimator (the paper's
 // methods 1-13 in Table 2 plus the non-learned baselines).
 //
-// Since PR 4 the estimation surface is request-based: callers build an
+// The estimation surface is request-based: callers build an
 // EstimateRequest (or a BatchEstimateRequest for batch-of-queries
-// inference) and pass it to Estimate / EstimateBatch. The old
-// `EstimateSearch(const float*, float)` overloads survive as thin
-// deprecated shims so out-of-tree callers keep compiling; in-tree code must
-// use the request types (enforced by scripts/check_api_deprecations.sh).
+// inference) and pass it to Estimate / EstimateBatch.
 #ifndef SIMCARD_CORE_ESTIMATOR_H_
 #define SIMCARD_CORE_ESTIMATOR_H_
 
@@ -112,10 +109,8 @@ struct EstimateOptions {
 
 /// \brief One search-cardinality question: card(query, tau, D).
 ///
-/// `query` must hold the estimator's dim() floats. An empty span with a
-/// non-null data() pointer is the legacy-shim encoding ("length unknown,
-/// trust the pointer for dim() floats"); implementations validate the size
-/// only when it is nonzero.
+/// `query` must hold exactly the estimator's dim() floats; the span's size
+/// is the only length the estimator trusts.
 struct EstimateRequest {
   std::span<const float> query;
   float tau = 0.0f;
@@ -150,7 +145,7 @@ class Estimator {
   /// Estimated card(q_i, tau_i, D) for every row of the batch. The default
   /// loops Estimate per row; batch-native estimators (GlEstimator) override
   /// with one forward pass per segment and guarantee bitwise-identical
-  /// per-row answers in the default (non-SIMD) build.
+  /// per-row answers.
   virtual std::vector<double> EstimateBatch(
       const BatchEstimateRequest& request);
 
@@ -163,15 +158,6 @@ class Estimator {
   /// Serialized model size in bytes (Table 5). For sampling baselines this
   /// is the retained sample; for learned models, float32 weights.
   virtual size_t ModelSizeBytes() const = 0;
-
-  /// Deprecated: build an EstimateRequest and call Estimate instead. Kept
-  /// as a non-virtual shim for out-of-tree callers; the span it forwards is
-  /// empty (length unknown), so implementations trust the pointer for
-  /// dim() floats exactly as the old signature did.
-  double EstimateSearch(const float* query, float tau) {
-    return Estimate(EstimateRequest{
-        std::span<const float>(query, static_cast<size_t>(0)), tau, {}});
-  }
 
   /// Wall-clock seconds of the last Train call (Figure 14).
   double training_seconds() const { return training_seconds_; }
@@ -191,7 +177,7 @@ class Estimator {
 /// downstream use of that property: "return roughly K similar objects"
 /// without knowing the right radius up front. If even `hi` falls short of
 /// `target`, returns `hi`.
-float InvertCardinality(Estimator* estimator, const float* query,
+float InvertCardinality(Estimator* estimator, std::span<const float> query,
                         double target, float lo, float hi,
                         int iterations = 32);
 

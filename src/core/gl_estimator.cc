@@ -487,9 +487,9 @@ double GlEstimator::Estimate(const EstimateRequest& request) {
 }
 
 double GlEstimator::Estimate(const EstimateRequest& request) const {
-  // A sized span must match the trained dimensionality; the legacy shims
-  // pass an empty span (length unknown, trusted for dim_ floats).
-  if (!request.query.empty() && request.query.size() != dim_) {
+  // The span's size is the query's only length: anything but dim_ floats
+  // (an empty span included) is refused rather than read past its end.
+  if (request.query.size() != dim_) {
     if (obs::MetricsEnabled()) QueryMetrics().fb_invalid_query->Increment();
     return 0.0;
   }
@@ -979,56 +979,6 @@ std::vector<uint8_t> GlEstimator::SaveToBytes() const {
 }
 
 Status GlEstimator::LoadFromBytes(std::vector<uint8_t> bytes, LoadMode mode) {
-  if (!CheckedFileReader::LooksChecked(bytes)) {
-    return Status::InvalidArgument(
-        "LoadFromBytes: not a checked simcard container");
-  }
-  return LoadChecked(std::move(bytes), mode);
-}
-
-Status GlEstimator::LoadLegacyV1(Deserializer* in, const std::string& path) {
-  std::string magic;
-  SIMCARD_RETURN_IF_ERROR(in->ReadString(&magic));
-  if (magic != "simcard.gl.v1") {
-    return Status::InvalidArgument("not a simcard GL model file: " + path);
-  }
-  uint32_t metric = 0;
-  uint64_t dim = 0;
-  SIMCARD_RETURN_IF_ERROR(in->ReadU32(&metric));
-  SIMCARD_RETURN_IF_ERROR(in->ReadU64(&dim));
-  metric_ = static_cast<Metric>(metric);
-  dim_ = dim;
-  SIMCARD_RETURN_IF_ERROR(segmentation_.Deserialize(in));
-  SIMCARD_RETURN_IF_ERROR(tuned_qes_.Deserialize(in));
-  uint64_t n_locals = 0;
-  SIMCARD_RETURN_IF_ERROR(in->ReadU64(&n_locals));
-  locals_.clear();
-  locals_.reserve(n_locals);
-  for (uint64_t s = 0; s < n_locals; ++s) {
-    auto local_or = LocalModel::Load(in);
-    if (!local_or.ok()) return local_or.status();
-    locals_.push_back(std::move(local_or.value()));
-  }
-  uint32_t has_global = 0;
-  SIMCARD_RETURN_IF_ERROR(in->ReadU32(&has_global));
-  global_.reset();
-  if (has_global != 0) {
-    auto global_or = GlobalModel::LoadWithConfig(in);
-    if (!global_or.ok()) return global_or.status();
-    global_ = std::move(global_or.value());
-  }
-  // v1 files carry no retained samples: a quarantine-free load needs none,
-  // and any later degradation answers 0 for the affected segment (the same
-  // as an untrained local model). Segment sizes still bound estimates.
-  fallbacks_.assign(locals_.size(), SegmentFallback{});
-  for (size_t s = 0; s < locals_.size() && s < segmentation_.members.size();
-       ++s) {
-    fallbacks_[s].segment_size = segmentation_.members[s].size();
-  }
-  return Status::OK();
-}
-
-Status GlEstimator::LoadChecked(std::vector<uint8_t> bytes, LoadMode mode) {
   auto reader_or = CheckedFileReader::FromBytes(std::move(bytes));
   if (!reader_or.ok()) return reader_or.status();
   const CheckedFileReader reader = std::move(reader_or).value();
@@ -1157,13 +1107,7 @@ Status GlEstimator::LoadChecked(std::vector<uint8_t> bytes, LoadMode mode) {
 Status GlEstimator::LoadFromFile(const std::string& path, LoadMode mode) {
   auto bytes_or = ReadFileBytes(path);
   if (!bytes_or.ok()) return bytes_or.status();
-  std::vector<uint8_t> bytes = std::move(bytes_or).value();
-  if (CheckedFileReader::LooksChecked(bytes)) {
-    return LoadChecked(std::move(bytes), mode);
-  }
-  // Pre-checksum (v1) files: best-effort structural validation only.
-  Deserializer in(std::move(bytes));
-  return LoadLegacyV1(&in, path);
+  return LoadFromBytes(std::move(bytes_or).value(), mode);
 }
 
 Status GlEstimator::ApplyUpdates(const Dataset& dataset,

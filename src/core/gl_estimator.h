@@ -122,8 +122,8 @@ class GlEstimator : public Estimator {
   ///
   /// Row i of `queries` pairs with `taus[i]`. Per-query routing decisions
   /// (global-model thresholding, triangle guards, validation failures) are
-  /// identical to the single-query path, and in the default (non-SIMD)
-  /// build each returned estimate is bitwise equal to
+  /// identical to the single-query path, and each returned estimate is
+  /// bitwise equal to
   /// Estimate(EstimateRequest{queries.Row(i), taus[i]}) — see DESIGN.md §11
   /// and tests/core/batch_parity_test.cc. A stateful `policy` is the one
   /// exception: its hooks fire in segment-major order here versus
@@ -139,18 +139,10 @@ class GlEstimator : public Estimator {
       SegmentEvalPolicy* policy = nullptr,
       std::span<EstimateProbe* const> probes = {}) const;
 
-  /// Deprecated: build an EstimateRequest and call Estimate instead.
-  double EstimateSearch(const float* query, float tau,
-                        SegmentEvalPolicy* policy = nullptr) const {
-    EstimateRequest request{
-        std::span<const float>(query, static_cast<size_t>(0)), tau, {}};
-    request.options.policy = policy;
-    return Estimate(request);
-  }
-
-  /// Per-segment estimates for the selected segments only; used by tests
-  /// and the join estimator. `probe`, when non-null, collects per-segment
-  /// provenance (and publishes trace events when its TraceContext is set).
+  /// Per-segment estimates for the selected segments only; Estimate sums
+  /// them, and tests and perfbench's core replay call it directly. `probe`,
+  /// when non-null, collects per-segment provenance (and publishes trace
+  /// events when its TraceContext is set).
   std::vector<SegmentEstimate> EstimatePerSegment(
       const float* query, float tau, SegmentEvalPolicy* policy = nullptr,
       EstimateProbe* probe = nullptr) const;
@@ -239,8 +231,8 @@ class GlEstimator : public Estimator {
   ///
   /// Files are written in the checked v2 container format (see
   /// common/checked_file.h): versioned header plus a CRC-32 per section, so
-  /// truncation and bit flips are detected instead of deserialized. Legacy
-  /// v1 ("simcard.gl.v1") files are still read.
+  /// truncation and bit flips are detected instead of deserialized. Files
+  /// without the container's magic are refused with InvalidArgument.
   Status SaveToFile(const std::string& path) const;
 
   /// How LoadFromFile treats a file whose structural sections (header,
@@ -303,8 +295,6 @@ class GlEstimator : public Estimator {
                         SelectScratch* scratch,
                         std::vector<size_t>* selected_out,
                         std::vector<char>* forced_out) const;
-  Status LoadLegacyV1(Deserializer* in, const std::string& path);
-  Status LoadChecked(std::vector<uint8_t> bytes, LoadMode mode);
   /// Fine-tunes `segments` (ascending) with per-segment seed
   /// `base_seed + mul*s + add` — the one implementation behind
   /// ApplyUpdates (13s+7), ApplyDeletions (41s+3), and FineTuneSegments,

@@ -41,9 +41,7 @@ struct SegmentFallback {
                                      size_t max_samples, Rng* rng);
 
   /// Scaled in-threshold sample count (see file comment); 0 when no samples
-  /// were retained (an empty segment truly has cardinality 0; a legacy v1
-  /// model file carries no samples and degrades to 0 like an untrained
-  /// local model would).
+  /// were retained (an empty segment truly has cardinality 0).
   double Estimate(const float* query, float tau, size_t dim,
                   Metric metric) const;
 

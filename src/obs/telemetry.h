@@ -25,8 +25,7 @@
 //
 // Overhead: the exporter thread wakes every interval_ms; serving threads
 // are never blocked by it (every registry read is atomics or a short
-// mutex). Budgeted at <= 1% served QPS, pinned by bench_serve_throughput's
-// exporter-running variant.
+// mutex). Its cost to served QPS is not measured.
 #ifndef SIMCARD_OBS_TELEMETRY_H_
 #define SIMCARD_OBS_TELEMETRY_H_
 

@@ -220,15 +220,6 @@ void EstimationService::Drain() {
 
 std::future<EstimateResponse> EstimationService::Submit(
     const EstimateRequest& request) {
-  return SubmitInternal(
-      std::vector<float>(request.query.begin(), request.query.end()),
-      request.tau, request.options.deadline_ms,
-      request.options.allow_feedback_correction);
-}
-
-std::future<EstimateResponse> EstimationService::SubmitInternal(
-    std::vector<float> query, float tau, double deadline_ms,
-    bool allow_feedback) {
   const bool enabled = obs::MetricsEnabled();
   ServeMetrics& m = Metrics();
   if (enabled) m.requests->Increment();
@@ -272,12 +263,13 @@ std::future<EstimateResponse> EstimationService::SubmitInternal(
                         "queue_depth", static_cast<double>(prev + 1));
   }
 
+  double deadline_ms = request.options.deadline_ms;
   if (deadline_ms <= 0.0) deadline_ms = options_.default_deadline_ms;
   Pending item;
-  item.query = std::move(query);
-  item.tau = tau;
+  item.query.assign(request.query.begin(), request.query.end());
+  item.tau = request.tau;
   item.request_id = request_id;
-  item.allow_feedback = allow_feedback;
+  item.allow_feedback = request.options.allow_feedback_correction;
   item.trace = std::move(trace);
   item.submitted = Clock::now();
   item.deadline =

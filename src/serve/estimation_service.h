@@ -199,21 +199,6 @@ class EstimationService {
   /// with kUnavailable.
   std::future<EstimateResponse> Submit(const EstimateRequest& request);
 
-  /// Deprecated: build an EstimateRequest and call Submit(request) instead.
-  std::future<EstimateResponse> Submit(const float* query, size_t dim,
-                                       float tau) {
-    return SubmitInternal(std::vector<float>(query, query + dim), tau,
-                          options_.default_deadline_ms,
-                          /*allow_feedback=*/true);
-  }
-
-  /// Deprecated: build an EstimateRequest and call Submit(request) instead.
-  std::future<EstimateResponse> Submit(std::vector<float> query, float tau,
-                                       double deadline_ms) {
-    return SubmitInternal(std::move(query), tau, deadline_ms,
-                          /*allow_feedback=*/true);
-  }
-
   /// Blocks until every accepted request has completed.
   void Drain();
 
@@ -281,9 +266,6 @@ class EstimationService {
                          double base_estimate, uint64_t epoch,
                          const EstimateProbe& probe);
 
-  std::future<EstimateResponse> SubmitInternal(std::vector<float> query,
-                                               float tau, double deadline_ms,
-                                               bool allow_feedback);
   void WorkerLoop();
   void ProcessBatch(std::vector<Pending>* batch);
 

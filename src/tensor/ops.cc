@@ -3,25 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-// SIMCARD_SIMD_HINTS (cmake -DSIMCARD_SIMD=ON) turns on explicit
-// vectorization hints: ivdep-style pragmas on the stride-1 inner loops and a
-// four-accumulator dot product. The multi-accumulator reduction REASSOCIATES
-// the floating-point sum, so results may differ in the last ulp from the
-// default build — which is why it is off by default: the batch/single parity
-// guarantee (DESIGN.md §11) and the golden-value tests are stated for the
-// strict accumulation order.
-#if defined(SIMCARD_SIMD_HINTS)
-#if defined(__clang__)
-#define SIMCARD_IVDEP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define SIMCARD_IVDEP _Pragma("GCC ivdep")
-#else
-#define SIMCARD_IVDEP
-#endif
-#else
-#define SIMCARD_IVDEP
-#endif
-
 namespace simcard {
 namespace {
 
@@ -32,27 +13,12 @@ constexpr size_t kBlockP = 64;   // reduction-dimension tile
 constexpr size_t kBlockJ = 128;  // output-column tile
 constexpr size_t kBlockI = 64;   // output-row tile (MatMulTransposeB)
 
-// Stride-1 dot product. The default build keeps a single accumulator in
-// ascending index order so every caller gets the same bits as the naive
-// loop; the SIMD build trades that for four independent accumulators.
+// Stride-1 dot product with a single accumulator in ascending index order,
+// so every caller gets the same bits as the naive loop.
 inline float Dot1(const float* a, const float* b, size_t k) {
-#if defined(SIMCARD_SIMD_HINTS)
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    acc0 += a[p] * b[p];
-    acc1 += a[p + 1] * b[p + 1];
-    acc2 += a[p + 2] * b[p + 2];
-    acc3 += a[p + 3] * b[p + 3];
-  }
-  float acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; p < k; ++p) acc += a[p] * b[p];
-  return acc;
-#else
   float acc = 0.0f;
   for (size_t p = 0; p < k; ++p) acc += a[p] * b[p];
   return acc;
-#endif
 }
 
 }  // namespace
@@ -79,7 +45,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
           const float av = arow[p];
           if (av == 0.0f) continue;  // ReLU activations are often sparse
           const float* brow = b.Row(p);
-          SIMCARD_IVDEP
           for (size_t j = jb; j < jend; ++j) {
             crow[j] += av * brow[j];
           }
@@ -123,7 +88,6 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
       const float av = arow[i];
       if (av == 0.0f) continue;
       float* crow = c.Row(i);
-      SIMCARD_IVDEP
       for (size_t j = 0; j < b.cols(); ++j) {
         crow[j] += av * brow[j];
       }

@@ -6,9 +6,7 @@
 // its products in ascending reduction-index order, so results are bitwise
 // identical to the naive loops — that ordering contract is what makes
 // batch-of-queries inference reproduce single-query results exactly
-// (DESIGN.md §11). Building with -DSIMCARD_SIMD=ON adds explicit
-// vectorization hints and a multi-accumulator dot product that reassociate
-// the FP sums for extra throughput at the cost of that guarantee.
+// (DESIGN.md §11).
 #ifndef SIMCARD_TENSOR_OPS_H_
 #define SIMCARD_TENSOR_OPS_H_
 

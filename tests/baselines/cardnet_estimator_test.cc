@@ -32,7 +32,7 @@ TEST(CardNetTest, TrainsAndEstimates) {
   ASSERT_TRUE(est.Train(ctx).ok());
   EXPECT_GT(est.num_buckets(), 0u);
   const float* q = env.workload.test_queries.Row(0);
-  const double estimate = EstimateCard(est, q, 0.2f);
+  const double estimate = EstimateCard(est, {q, env.dataset.dim()}, 0.2f);
   EXPECT_GE(estimate, 0.0);
   EXPECT_LE(estimate, static_cast<double>(env.dataset.size()));
 }
@@ -50,7 +50,7 @@ TEST(CardNetTest, MonotoneInTauByConstruction) {
     const float* q = env.workload.test_queries.Row(row);
     double prev = -1.0;
     for (float tau = 0.0f; tau <= 0.8f; tau += 0.02f) {
-      const double estimate = EstimateCard(est, q, tau);
+      const double estimate = EstimateCard(est, {q, env.dataset.dim()}, tau);
       EXPECT_GE(estimate, prev - 1e-9) << "tau=" << tau;
       prev = estimate;
     }
@@ -71,7 +71,8 @@ TEST(CardNetTest, BetterThanChanceOnTraining) {
   for (const auto& lq : env.workload.train) {
     const float* q = env.workload.train_queries.Row(lq.row);
     for (const auto& t : lq.thresholds) {
-      qsum += QError(EstimateCard(est, q, t.tau), t.card);
+      qsum += QError(EstimateCard(est, {q, env.dataset.dim()}, t.tau),
+                     t.card);
       ++n;
     }
   }

@@ -32,7 +32,7 @@ TEST(KernelEstimatorTest, EstimateMonotoneInTau) {
   const float* q = env.workload.test_queries.Row(0);
   double prev = -1.0;
   for (float tau = 0.02f; tau <= 0.6f; tau += 0.02f) {
-    const double estimate = EstimateCard(est, q, tau);
+    const double estimate = EstimateCard(est, {q, env.dataset.dim()}, tau);
     EXPECT_GE(estimate, prev);
     prev = estimate;
   }
@@ -45,7 +45,7 @@ TEST(KernelEstimatorTest, NoZeroTupleProblem) {
   TrainContext ctx = MakeTrainContext(env);
   ASSERT_TRUE(est.Train(ctx).ok());
   const float* q = env.workload.test_queries.Row(2);
-  EXPECT_GT(EstimateCard(est, q, 0.05f), 0.0);
+  EXPECT_GT(EstimateCard(est, {q, env.dataset.dim()}, 0.05f), 0.0);
 }
 
 TEST(KernelEstimatorTest, LargeTauApproachesDatasetSize) {
@@ -54,7 +54,8 @@ TEST(KernelEstimatorTest, LargeTauApproachesDatasetSize) {
   TrainContext ctx = MakeTrainContext(env);
   ASSERT_TRUE(est.Train(ctx).ok());
   const float* q = env.workload.test_queries.Row(1);
-  const double estimate = EstimateCard(est, q, 10.0f);  // >> any distance
+  const double estimate =
+      EstimateCard(est, {q, env.dataset.dim()}, 10.0f);  // >> any distance
   EXPECT_NEAR(estimate, static_cast<double>(env.dataset.size()),
               env.dataset.size() * 0.02);
 }
@@ -73,7 +74,8 @@ TEST(KernelEstimatorTest, RoughlyCalibratedAtModerateSelectivity) {
     const float* q = env.workload.test_queries.Row(lq.row);
     for (const auto& t : lq.thresholds) {
       if (t.card < 10) continue;
-      const double ratio = EstimateCard(est, q, t.tau) / t.card;
+      const double ratio =
+          EstimateCard(est, {q, env.dataset.dim()}, t.tau) / t.card;
       EXPECT_LT(ratio, 100.0);
       EXPECT_GT(ratio, 0.01);
       ratios.push_back(ratio);

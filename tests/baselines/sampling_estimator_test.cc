@@ -35,7 +35,7 @@ TEST(SamplingEstimatorTest, FullSampleIsExact) {
   GroundTruth gt(&env.dataset);
   const float* q = env.workload.test_queries.Row(0);
   for (float tau : {0.05f, 0.2f, 0.4f}) {
-    EXPECT_DOUBLE_EQ(EstimateCard(est, q, tau),
+    EXPECT_DOUBLE_EQ(EstimateCard(est, {q, env.dataset.dim()}, tau),
                      static_cast<double>(gt.Count(q, tau)));
   }
 }
@@ -49,7 +49,7 @@ TEST(SamplingEstimatorTest, EstimateScalesByInverseRatio) {
   const double unit = static_cast<double>(env.dataset.size()) /
                       static_cast<double>(est.sample_rows());
   const float* q = env.workload.test_queries.Row(1);
-  const double estimate = EstimateCard(est, q, 0.3f);
+  const double estimate = EstimateCard(est, {q, env.dataset.dim()}, 0.3f);
   EXPECT_NEAR(std::fmod(estimate, unit), 0.0, 1e-6);
 }
 
@@ -66,7 +66,7 @@ TEST(SamplingEstimatorTest, ZeroTupleProblemOnLowSelectivity) {
     const float* q = env.workload.test_queries.Row(lq.row);
     for (const auto& t : lq.thresholds) {
       if (t.card > 0 && t.card < 20) {
-        zeros += EstimateCard(est, q, t.tau) == 0.0;
+        zeros += EstimateCard(est, {q, env.dataset.dim()}, t.tau) == 0.0;
         ++total;
       }
     }
@@ -97,7 +97,7 @@ TEST(SamplingEstimatorTest, HammingFastPathMatchesGroundTruthAtFullSample) {
   GroundTruth gt(&env.dataset);
   const float* q = env.workload.test_queries.Row(0);
   for (float tau : {0.1f, 0.3f}) {
-    EXPECT_DOUBLE_EQ(EstimateCard(est, q, tau),
+    EXPECT_DOUBLE_EQ(EstimateCard(est, {q, env.dataset.dim()}, tau),
                      static_cast<double>(gt.Count(q, tau)));
   }
 }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <span>
 
 #include "common/checked_file.h"
 #include "common/fault.h"
@@ -119,7 +120,7 @@ TEST(GlEstimatorGuardTest, NanQueryAnswersZero) {
   double out = -1.0;
   const int64_t delta =
       CounterDelta("simcard.fallback.invalid_query",
-                   [&] { out = EstimateCard(est, q.data(), 0.2f); });
+                   [&] { out = EstimateCard(est, q, 0.2f); });
   EXPECT_EQ(out, 0.0);
   EXPECT_EQ(delta, 1);
 }
@@ -128,7 +129,25 @@ TEST(GlEstimatorGuardTest, InfQueryAnswersZero) {
   GlEstimator& est = TrainedEstimator();
   std::vector<float> q(16, 0.1f);
   q[0] = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(EstimateCard(est, q.data(), 0.2f), 0.0);
+  EXPECT_EQ(EstimateCard(est, q, 0.2f), 0.0);
+}
+
+TEST(GlEstimatorGuardTest, UnsizedQueryAnswersZero) {
+  GlEstimator& est = TrainedEstimator();
+  // A valid buffer behind the pointer: only the span's size may decide.
+  std::vector<float> q(16, 0.1f);
+  ASSERT_EQ(q.size(), est.dim());
+  const std::span<const float> full(q);
+  for (const std::span<const float> query : {full.first(0), full.first(15)}) {
+    EstimateRequest request;
+    request.query = query;
+    request.tau = 0.2f;
+    double out = -1.0;
+    const int64_t delta = CounterDelta("simcard.fallback.invalid_query",
+                                       [&] { out = est.Estimate(request); });
+    EXPECT_EQ(out, 0.0) << "span of " << query.size() << " floats";
+    EXPECT_EQ(delta, 1) << "span of " << query.size() << " floats";
+  }
 }
 
 TEST(GlEstimatorGuardTest, BadTauAnswersZero) {
@@ -137,8 +156,8 @@ TEST(GlEstimatorGuardTest, BadTauAnswersZero) {
   double nan_out = -1.0, neg_out = -1.0;
   const int64_t delta =
       CounterDelta("simcard.fallback.invalid_tau", [&] {
-        nan_out = EstimateCard(est, q.data(), kNaNf);
-        neg_out = EstimateCard(est, q.data(), -0.5f);
+        nan_out = EstimateCard(est, q, kNaNf);
+        neg_out = EstimateCard(est, q, -0.5f);
       });
   EXPECT_EQ(nan_out, 0.0);
   EXPECT_EQ(neg_out, 0.0);
@@ -155,7 +174,7 @@ TEST(GlEstimatorGuardTest, InjectedLocalFaultFallsBackFinite) {
   double out = std::numeric_limits<double>::quiet_NaN();
   const int64_t delta =
       CounterDelta("simcard.fallback.local_nonfinite",
-                   [&] { out = EstimateCard(est, q.data(), 0.3f); });
+                   [&] { out = EstimateCard(est, q, 0.3f); });
   fault::Disable();
 
   EXPECT_TRUE(std::isfinite(out));
@@ -164,7 +183,7 @@ TEST(GlEstimatorGuardTest, InjectedLocalFaultFallsBackFinite) {
   EXPECT_GE(delta, 1);  // at least one segment fell back
 
   // Disarmed again: the normal path answers without touching the counter.
-  EXPECT_TRUE(std::isfinite(EstimateCard(est, q.data(), 0.3f)));
+  EXPECT_TRUE(std::isfinite(EstimateCard(est, q, 0.3f)));
 }
 
 TEST(GlEstimatorGuardTest, EstimateNeverExceedsDatasetSize) {
@@ -172,7 +191,7 @@ TEST(GlEstimatorGuardTest, EstimateNeverExceedsDatasetSize) {
   // A huge tau drives every model to its ceiling; the sum of per-segment
   // clamps already bounds by |D|, and the final clamp guarantees it.
   std::vector<float> q(16, 0.0f);
-  const double out = EstimateCard(est, q.data(), 1e6f);
+  const double out = EstimateCard(est, q, 1e6f);
   EXPECT_TRUE(std::isfinite(out));
   EXPECT_LE(out, DatasetSize(est));
 }
@@ -241,7 +260,7 @@ TEST(GlEstimatorGuardTest, DegradedLoadQuarantinesCorruptLocal) {
   double out = std::numeric_limits<double>::quiet_NaN();
   const int64_t delta =
       CounterDelta("simcard.fallback.local_missing",
-                   [&] { out = EstimateCard(degraded, q.data(), 0.5f); });
+                   [&] { out = EstimateCard(degraded, q, 0.5f); });
   EXPECT_TRUE(std::isfinite(out));
   EXPECT_GE(out, 0.0);
   EXPECT_LE(out, DatasetSize(degraded));
@@ -259,8 +278,8 @@ TEST(GlEstimatorGuardTest, CheckedRoundTripPreservesEstimates) {
   GlEstimator& orig = TrainedEstimator();
   std::vector<float> q(16, 0.05f);
   for (float tau : {0.05f, 0.2f, 0.5f}) {
-    EXPECT_DOUBLE_EQ(EstimateCard(loaded, q.data(), tau),
-                     EstimateCard(orig, q.data(), tau))
+    EXPECT_DOUBLE_EQ(EstimateCard(loaded, q, tau),
+                     EstimateCard(orig, q, tau))
         << "tau " << tau;
   }
   std::remove(saved.path.c_str());

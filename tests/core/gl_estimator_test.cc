@@ -114,7 +114,8 @@ TEST(GlEstimatorTest, SumOfSegmentsEqualsSearchEstimate) {
   for (const SegmentEstimate& se : est.EstimatePerSegment(q, tau)) {
     sum += se.estimate;
   }
-  EXPECT_NEAR(EstimateCard(est, q, tau), sum, 1e-9 + 1e-6 * sum);
+  EXPECT_NEAR(EstimateCard(est, {q, est.dim()}, tau), sum,
+              1e-9 + 1e-6 * sum);
 }
 
 TEST(GlEstimatorTest, EstimateMonotoneInTau) {
@@ -128,7 +129,7 @@ TEST(GlEstimatorTest, EstimateMonotoneInTau) {
   const float* q = env.workload.test_queries.Row(2);
   double prev = -1.0;
   for (float tau = 0.02f; tau <= 0.4f; tau += 0.02f) {
-    const double est_v = EstimateCard(est, q, tau);
+    const double est_v = EstimateCard(est, {q, est.dim()}, tau);
     EXPECT_GE(est_v, prev * (1.0 - 1e-6));
     prev = est_v;
   }

@@ -33,14 +33,16 @@ const InvertEnv& Shared() {
 TEST(InvertCardinalityTest, EstimateAtInvertedTauReachesTarget) {
   const auto& s = Shared();
   const float* q = s.env.workload.test_queries.Row(0);
+  const size_t dim = s.env.dataset.dim();
   for (double target : {3.0, 10.0, 25.0}) {
     const float tau =
-        InvertCardinality(s.estimator.get(), q, target, 0.0f, 1.0f);
-    EXPECT_GE(EstimateCard(*s.estimator, q, tau), target * 0.999);
+        InvertCardinality(s.estimator.get(), {q, dim}, target, 0.0f, 1.0f);
+    EXPECT_GE(EstimateCard(*s.estimator, {q, dim}, tau), target * 0.999);
     // Just below tau the estimate must fall short (minimality), unless the
     // search bottomed out at lo.
     if (tau > 1e-4f) {
-      EXPECT_LT(EstimateCard(*s.estimator, q, tau * 0.95f), target * 1.5);
+      EXPECT_LT(EstimateCard(*s.estimator, {q, dim}, tau * 0.95f),
+                target * 1.5);
     }
   }
 }
@@ -48,16 +50,19 @@ TEST(InvertCardinalityTest, EstimateAtInvertedTauReachesTarget) {
 TEST(InvertCardinalityTest, UnreachableTargetReturnsHi) {
   const auto& s = Shared();
   const float* q = s.env.workload.test_queries.Row(1);
-  EXPECT_EQ(InvertCardinality(s.estimator.get(), q, 1e12, 0.0f, 0.8f), 0.8f);
+  const size_t dim = s.env.dataset.dim();
+  EXPECT_EQ(InvertCardinality(s.estimator.get(), {q, dim}, 1e12, 0.0f, 0.8f),
+            0.8f);
 }
 
 TEST(InvertCardinalityTest, MonotoneInTarget) {
   const auto& s = Shared();
   const float* q = s.env.workload.test_queries.Row(2);
+  const size_t dim = s.env.dataset.dim();
   float prev = -1.0f;
   for (double target = 2.0; target <= 64.0; target *= 2.0) {
     const float tau =
-        InvertCardinality(s.estimator.get(), q, target, 0.0f, 1.0f);
+        InvertCardinality(s.estimator.get(), {q, dim}, target, 0.0f, 1.0f);
     EXPECT_GE(tau, prev);
     prev = tau;
   }
@@ -69,9 +74,10 @@ TEST(InvertCardinalityTest, TrueCountNearTargetOnTrainedModel) {
   const auto& s = Shared();
   GroundTruth gt(&s.env.dataset);
   const float* q = s.env.workload.test_queries.Row(3);
+  const size_t dim = s.env.dataset.dim();
   const double target = 20.0;
   const float tau =
-      InvertCardinality(s.estimator.get(), q, target, 0.0f, 1.0f);
+      InvertCardinality(s.estimator.get(), {q, dim}, target, 0.0f, 1.0f);
   const double truth = static_cast<double>(gt.Count(q, tau));
   EXPECT_GT(truth, 1.0);
   EXPECT_LT(truth, 400.0);  // within ~one order of magnitude both ways

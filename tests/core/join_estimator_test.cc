@@ -124,8 +124,9 @@ TEST(GlJoinTest, BatchFasterThanPerQueryOnLargeSets) {
     // Per-query path: sum of individual search estimates (GL+ style).
     double total = 0.0;
     for (uint32_t row : js.query_rows) {
-      total += EstimateCard(est, je.env.workload.test_queries.Row(row),
-                            js.tau);
+      total += EstimateCard(
+          est, {je.env.workload.test_queries.Row(row), je.env.dataset.dim()},
+          js.tau);
     }
     (void)total;
   }
@@ -139,8 +140,9 @@ TEST(GlJoinTest, SearchEstimatesDelegateToGl) {
   TrainContext ctx = MakeTrainContext(je.env);
   ASSERT_TRUE(est.Train(ctx).ok());
   const float* q = je.env.workload.test_queries.Row(0);
-  EXPECT_NEAR(EstimateCard(est, q, 0.2f), EstimateCard(*est.gl(), q, 0.2f),
-              1e-9);
+  const size_t dim = je.env.dataset.dim();
+  EXPECT_NEAR(EstimateCard(est, {q, dim}, 0.2f),
+              EstimateCard(*est.gl(), {q, dim}, 0.2f), 1e-9);
 }
 
 TEST(FineTunePooledTest, EmptySetsIsNoop) {

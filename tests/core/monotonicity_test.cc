@@ -42,7 +42,7 @@ TEST_P(MonotonicityTest, EstimateNonDecreasingInTau) {
     double prev = -1.0;
     for (int step = 0; step <= 20; ++step) {
       const float tau = tau_hi * static_cast<float>(step) / 20.0f;
-      const double estimate = EstimateCard(*est, q, tau);
+      const double estimate = EstimateCard(*est, {q, env.dataset.dim()}, tau);
       // Tolerate float jitter of one part in 1e-5.
       EXPECT_GE(estimate, prev * (1.0 - 1e-5) - 1e-9)
           << c.estimator << " on " << c.dataset << " at tau=" << tau;

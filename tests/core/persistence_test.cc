@@ -48,8 +48,8 @@ TEST(PersistenceTest, GlRoundTripEstimatesIdentically) {
     const auto& lq = env.workload.test[i];
     const float* q = env.workload.test_queries.Row(lq.row);
     for (const auto& t : lq.thresholds) {
-      EXPECT_DOUBLE_EQ(EstimateCard(restored, q, t.tau),
-                       EstimateCard(trained, q, t.tau));
+      EXPECT_DOUBLE_EQ(EstimateCard(restored, {q, env.dataset.dim()}, t.tau),
+                       EstimateCard(trained, {q, env.dataset.dim()}, t.tau));
     }
   }
   std::remove(path.c_str());
@@ -73,8 +73,8 @@ TEST(PersistenceTest, LocalPlusRoundTripWithoutGlobal) {
   ASSERT_TRUE(restored.LoadFromFile(path).ok());
   EXPECT_EQ(restored.global_model(), nullptr);
   const float* q = env.workload.test_queries.Row(0);
-  EXPECT_DOUBLE_EQ(EstimateCard(restored, q, 0.2f),
-                   EstimateCard(trained, q, 0.2f));
+  EXPECT_DOUBLE_EQ(EstimateCard(restored, {q, env.dataset.dim()}, 0.2f),
+                   EstimateCard(trained, {q, env.dataset.dim()}, 0.2f));
   std::remove(path.c_str());
 }
 

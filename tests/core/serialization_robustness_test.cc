@@ -89,6 +89,24 @@ TEST(SerializationRobustnessTest, WrongMagicFails) {
   EXPECT_FALSE(LoadFromBytes(bytes).ok());
 }
 
+// The pre-container (v1) layout had no magic and no checksums; its loader
+// reserved a locals vector for whatever count the file claimed. Such files
+// are refused outright now, before any count in them is believed.
+TEST(SerializationRobustnessTest, NonCheckedFileRefusedBeforeAllocating) {
+  GlEstimator model(GlEstimatorConfig::GlCnn());
+  ASSERT_TRUE(model.LoadFromBytes(TrainedModelBytes()).ok());
+  Serializer v1;
+  v1.WriteString("simcard.gl.v1");
+  v1.WriteU32(static_cast<uint32_t>(model.metric()));
+  v1.WriteU64(model.dim());
+  model.segmentation().Serialize(&v1);
+  model.tuned_qes().Serialize(&v1);
+  v1.WriteU64(1ull << 62);  // n_locals
+  Status st;
+  EXPECT_NO_THROW(st = LoadFromBytes(v1.bytes()));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
 TEST(SerializationRobustnessTest, TruncationAtEverySectionBoundaryFails) {
   const auto& bytes = TrainedModelBytes();
   auto reader_or = CheckedFileReader::FromBytes(bytes);

@@ -33,8 +33,9 @@ TEST_P(DeterminismTest, TrainTwiceEstimateIdentically) {
     const auto& lq = env_a.workload.test[i];
     const float* q = env_a.workload.test_queries.Row(lq.row);
     for (const auto& t : lq.thresholds) {
-      EXPECT_DOUBLE_EQ(testsupport::EstimateCard(*est_a, q, t.tau),
-                       testsupport::EstimateCard(*est_b, q, t.tau))
+      EXPECT_DOUBLE_EQ(
+          testsupport::EstimateCard(*est_a, {q, env_a.dataset.dim()}, t.tau),
+          testsupport::EstimateCard(*est_b, {q, env_a.dataset.dim()}, t.tau))
           << method;
     }
   }

@@ -108,7 +108,7 @@ TEST(EndToEndTest, DefaultJoinEstimateIsSumOfSearches) {
   double expected = 0.0;
   for (uint32_t row : rows) {
     expected += testsupport::EstimateCard(
-        *est, env.workload.test_queries.Row(row), tau);
+        *est, {env.workload.test_queries.Row(row), env.dataset.dim()}, tau);
   }
   EXPECT_NEAR(
       est->EstimateJoin(env.workload.test_queries, rows, tau), expected,

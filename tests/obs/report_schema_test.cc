@@ -125,11 +125,11 @@ TEST(ReportSchemaTest, DisabledMetricsRecordNothing) {
   const int64_t before = queries->Value();
   const float* q = SharedEnv().workload.test_queries.Row(0);
   for (int i = 0; i < 5; ++i) {
-    testsupport::EstimateCard(est, q, 0.2f + 0.05f * i);
+    testsupport::EstimateCard(est, {q, est.dim()}, 0.2f + 0.05f * i);
   }
   EXPECT_EQ(queries->Value(), before);
   obs::SetMetricsEnabled(true);
-  testsupport::EstimateCard(est, q, 0.3f);
+  testsupport::EstimateCard(est, {q, est.dim()}, 0.3f);
   EXPECT_EQ(queries->Value(), before + 1);
 }
 

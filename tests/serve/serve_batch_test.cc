@@ -101,7 +101,8 @@ TEST_F(ServeBatchTest, BurstCoalescesAndMatchesSinglePath) {
     }
     EXPECT_DOUBLE_EQ(
         response.estimate,
-        testsupport::EstimateCard(*SharedModel(), queries.Row(i), 0.4f));
+        testsupport::EstimateCard(*SharedModel(),
+                                  {queries.Row(i), queries.cols()}, 0.4f));
   }
   service.Drain();
 }
@@ -191,7 +192,8 @@ TEST_F(ServeBatchTest, MaxBatchOneKeepsSingleSemantics) {
   const Matrix& queries = SharedEnv().workload.test_queries;
   EXPECT_DOUBLE_EQ(
       response.estimate,
-      testsupport::EstimateCard(*SharedModel(), queries.Row(1), 0.5f));
+      testsupport::EstimateCard(*SharedModel(),
+                                {queries.Row(1), queries.cols()}, 0.5f));
 }
 
 }  // namespace

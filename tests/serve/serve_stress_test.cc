@@ -158,7 +158,8 @@ TEST(ServeStressTest, ConcurrentEstimatesMatchSerialOnSharedModel) {
   const size_t n = std::min<size_t>(queries.rows(), 32);
   std::vector<double> serial(n);
   for (size_t i = 0; i < n; ++i) {
-    serial[i] = testsupport::EstimateCard(*model, queries.Row(i), 0.5f);
+    serial[i] = testsupport::EstimateCard(
+        *model, {queries.Row(i), queries.cols()}, 0.5f);
   }
 
   // The same estimates computed by many threads through the const Apply
@@ -171,8 +172,8 @@ TEST(ServeStressTest, ConcurrentEstimatesMatchSerialOnSharedModel) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (size_t i = 0; i < n; ++i) {
-        const double got =
-            testsupport::EstimateCard(*model, queries.Row(i), 0.5f);
+        const double got = testsupport::EstimateCard(
+            *model, {queries.Row(i), queries.cols()}, 0.5f);
         if (got != serial[i]) mismatches.fetch_add(1);
       }
     });

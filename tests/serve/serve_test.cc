@@ -130,7 +130,7 @@ TEST_F(ServeTest, AnswersWithPublishedModel) {
   // Sanity: the served estimate matches a direct synchronous call.
   std::vector<float> q = TestQuery();
   const double direct =
-      testsupport::EstimateCard(*SharedModel(), q.data(), 0.5f);
+      testsupport::EstimateCard(*SharedModel(), q, 0.5f);
   EXPECT_DOUBLE_EQ(response.estimate, direct);
 }
 

@@ -1,8 +1,6 @@
 // Shared test plumbing for the unified estimation API: builds an
-// EstimateRequest the way production callers do, so tests stop going
-// through the deprecated EstimateSearch/Submit shims (enforced by
-// scripts/check_api_deprecations.sh, which gates tests/ too; the shims
-// themselves stay covered by tests/core/deprecated_shim_test.cc).
+// EstimateRequest the way production callers do. Callers pass a sized span
+// ({row, dim}); the estimator trusts no other length.
 #ifndef SIMCARD_TESTS_SUPPORT_REQUEST_HELPERS_H_
 #define SIMCARD_TESTS_SUPPORT_REQUEST_HELPERS_H_
 
@@ -15,23 +13,21 @@ namespace simcard {
 namespace testsupport {
 
 // Single-query estimate card(q, tau, D) through Estimate(EstimateRequest).
-// The span is passed in the legacy length-unknown encoding (empty span,
-// non-null data) because most tests hold a bare row pointer; the estimator
-// trusts it for dim() floats, exactly like the shim the tests migrated off.
-inline double EstimateCard(Estimator& est, const float* query, float tau,
-                           SegmentEvalPolicy* policy = nullptr) {
+inline double EstimateCard(Estimator& est, std::span<const float> query,
+                           float tau, SegmentEvalPolicy* policy = nullptr) {
   EstimateRequest request;
-  request.query = std::span<const float>(query, static_cast<size_t>(0));
+  request.query = query;
   request.tau = tau;
   request.options.policy = policy;
   return est.Estimate(request);
 }
 
 // Const-path twin for shared (published) GL models.
-inline double EstimateCard(const GlEstimator& est, const float* query,
-                           float tau, SegmentEvalPolicy* policy = nullptr) {
+inline double EstimateCard(const GlEstimator& est,
+                           std::span<const float> query, float tau,
+                           SegmentEvalPolicy* policy = nullptr) {
   EstimateRequest request;
-  request.query = std::span<const float>(query, static_cast<size_t>(0));
+  request.query = query;
   request.tau = tau;
   request.options.policy = policy;
   return est.Estimate(request);
