@@ -99,6 +99,15 @@ if [[ "${MODE}" == "tsan" ]]; then
   ctest --test-dir "${BUILD_DIR}" --output-on-failure \
     -R "FeedbackStressTest.ConcurrentReadersWritersAndEpochRemap" \
     --repeat until-fail:3
+  # ...and the parallel set-up: queries labelled across the pool and the GL
+  # models fitted as concurrent tasks, on a Hamming dataset (bit-packed scan
+  # over a lazily filled cache) and an angular one (float scan), plus the
+  # ParallelFor cursor shared by concurrent callers.
+  SETUP_TESTS="LabelParityTest.BitwiseEqualAcrossPaths/(imagenet_sim|glove_sim)"
+  SETUP_TESTS+="|ModelParityTest.PoolAndOneWorkerTrainEqualBytes/(imagenet_sim|glove_sim)_GL_CNN"
+  SETUP_TESTS+="|ParallelForTest"
+  ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "${SETUP_TESTS}" \
+    --repeat until-fail:3
 fi
 
 echo "sanitizer suite passed (${MODE})"

@@ -147,6 +147,7 @@ double CardNetEstimator::PredictCard(const Matrix& increments_row, float tau,
 }
 
 double CardNetEstimator::Estimate(const EstimateRequest& request) {
+  if (!QueryHasDim(request, query_dim_)) return 0.0;
   Matrix row(1, query_dim_);
   row.SetRow(0, request.query.data());
   Matrix raw = decoder_->Forward(encoder_->Forward(row));

@@ -33,6 +33,7 @@ Status KernelEstimator::Train(const TrainContext& ctx) {
 }
 
 double KernelEstimator::Estimate(const EstimateRequest& request) {
+  if (!QueryHasDim(request, sample_.cols())) return 0.0;
   const float* query = request.query.data();
   const float tau = request.tau;
   const size_t k = sample_.rows();

@@ -42,6 +42,7 @@ Status SamplingEstimator::Train(const TrainContext& ctx) {
 }
 
 double SamplingEstimator::Estimate(const EstimateRequest& request) {
+  if (!QueryHasDim(request, sample_.cols())) return 0.0;
   const float* query = request.query.data();
   const float tau = request.tau;
   size_t hits = 0;

@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace simcard {
 
@@ -39,7 +41,7 @@ void ThreadPool::Wait() {
 
 namespace {
 // True on threads owned by a pool; ParallelFor falls back to inline
-// execution there to avoid self-deadlock on nested Wait().
+// execution there, so a nested call never waits on a worker it occupies.
 thread_local bool t_is_pool_worker = false;
 }  // namespace
 
@@ -82,17 +84,35 @@ void ParallelFor(size_t begin, size_t end,
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  const size_t chunks = std::min(workers * 4, (n + min_chunk - 1) / min_chunk);
-  const size_t chunk_size = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t lo = begin + c * chunk_size;
-    const size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    pool->Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
+  const size_t chunk = std::max<size_t>(1, min_chunk);
+  // This call's own cursor and completion count: workers claim chunks in
+  // index order until the range is exhausted, and the caller waits for
+  // its helpers only, never for other callers' tasks. Helpers co-own the
+  // state, so the last one may still be unlocking it after the caller
+  // has returned.
+  struct CallState {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done;
+    size_t helpers_left = 0;
+  };
+  auto state = std::make_shared<CallState>();
+  const size_t helpers = std::min(workers, (n + chunk - 1) / chunk);
+  state->helpers_left = helpers;
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([state, begin, n, chunk, &fn] {
+      for (;;) {
+        const size_t lo = state->next.fetch_add(chunk);
+        if (lo >= n) break;
+        const size_t hi = std::min(n, lo + chunk);
+        for (size_t i = lo; i < hi; ++i) fn(begin + i);
+      }
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (--state->helpers_left == 0) state->done.notify_all();
     });
   }
-  pool->Wait();
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done.wait(lock, [&state] { return state->helpers_left == 0; });
 }
 
 }  // namespace simcard

@@ -1,9 +1,13 @@
 // Fixed-size thread pool and a ParallelFor helper.
 //
-// Ground-truth label construction computes millions of high-dimensional
-// distances (the paper notes this dominates offline cost; see Exp-10), so it
-// is written against ParallelFor. On a single-core machine the pool degrades
-// gracefully to sequential execution with no thread overhead.
+// Set-up is written against ParallelFor: label construction (the paper's
+// main offline cost, Exp-10) labels one query per task, and GL training runs
+// the global model and each local model as one task each. The shared pool is
+// hardware_concurrency wide; on a single-core machine ParallelFor degrades to
+// sequential execution with no thread overhead. Each ParallelFor call waits
+// only for its own range, so concurrent callers do not wait on each other,
+// and a call made on a pool worker runs inline: the nested distance scan of a
+// labelling task stays on that task's worker.
 #ifndef SIMCARD_COMMON_THREAD_POOL_H_
 #define SIMCARD_COMMON_THREAD_POOL_H_
 
@@ -51,11 +55,15 @@ class ThreadPool {
 /// Returns the process-wide shared pool (sized to hardware concurrency).
 ThreadPool* GlobalThreadPool();
 
-/// \brief Runs fn(i) for every i in [begin, end), splitting the range into
-/// contiguous chunks across the global pool.
+/// \brief Runs fn(i) exactly once for every i in [begin, end) on the global
+/// pool and returns when this range is done.
 ///
-/// Executes inline when the range is small or only one worker exists. `fn`
-/// must be safe to call concurrently for distinct i.
+/// Workers claim chunks of `min_chunk` consecutive indices, in index order,
+/// from a per-call cursor, so one long index never holds a short one behind
+/// it in the same chunk. Executes inline, in index order on the calling
+/// thread, when the range fits in one chunk, only one worker exists, or the
+/// caller is itself a pool worker. `fn` must be safe to call concurrently
+/// for distinct i.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn,
                  size_t min_chunk = 256);

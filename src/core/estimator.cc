@@ -1,6 +1,18 @@
 #include "core/estimator.h"
 
+#include "obs/metrics.h"
+
 namespace simcard {
+
+bool QueryHasDim(const EstimateRequest& request, size_t dim) {
+  if (request.query.size() == dim) return true;
+  if (obs::MetricsEnabled()) {
+    static obs::Counter* const invalid =
+        obs::GetCounter("simcard.fallback.invalid_query");
+    invalid->Increment();
+  }
+  return false;
+}
 
 std::vector<double> Estimator::EstimateBatch(
     const BatchEstimateRequest& request) {

@@ -169,6 +169,12 @@ class Estimator {
   double training_seconds_ = 0.0;
 };
 
+/// True when `request.query` holds exactly `dim` floats, the only length an
+/// estimator may read from it. Otherwise counts
+/// simcard.fallback.invalid_query (when metrics are on) and returns false;
+/// the estimator then answers 0, the one estimate valid for every dataset.
+bool QueryHasDim(const EstimateRequest& request, size_t dim);
+
 /// \brief Finds the smallest threshold in [lo, hi] whose estimated
 /// cardinality reaches `target`, by binary search on tau.
 ///

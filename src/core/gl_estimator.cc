@@ -9,6 +9,7 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/features.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -90,8 +91,9 @@ Status GlEstimator::Train(const TrainContext& ctx) {
   const size_t n_seg = segmentation_.num_segments();
 
   // Algorithm 3: tune the QES geometry. By default one tuning run on the
-  // densest segment's samples is shared by all local models (single-core
-  // budget); tune_per_segment restores the paper's per-segment runs.
+  // densest segment's samples is shared by all local models, which keeps
+  // the serial part of training short; tune_per_segment restores the
+  // paper's per-segment runs.
   if (config_.auto_tune && config_.use_cnn_query_tower &&
       !config_.tune_per_segment) {
     size_t densest = 0;
@@ -114,56 +116,40 @@ Status GlEstimator::Train(const TrainContext& ctx) {
     }
   }
 
-  // Phase 1 (Algorithm 1 per segment): local regression models.
+  // Serial prelude: build every model in order from its own seed. The
+  // per-segment tuning chain stays here too, because each segment's tuning
+  // starts from the previous segment's tuned_qes_. status[s] holds local s's
+  // outcome and status[n_seg] the global model's; a failed build ends the
+  // prelude, as it would have ended the serial loop.
+  std::vector<Status> status(n_seg + 1);
   locals_.clear();
   locals_.reserve(n_seg);
-  {
-    obs::TraceSpan locals_span("gl.train.locals");
-    for (size_t s = 0; s < n_seg; ++s) {
-      if (config_.auto_tune && config_.use_cnn_query_tower &&
-          config_.tune_per_segment) {
-        Rng rng(ctx.seed + s);
-        auto samples = FlattenSegment(ctx.workload->train, s,
-                                      config_.zero_keep_prob, &rng);
-        if (samples.size() >= 10) {
-          TunerOptions tuner_opts = config_.tuner;
-          tuner_opts.seed = ctx.seed + 17 + s;
-          auto tuned_or =
-              GreedyTuneQes(queries, &xc, samples, LocalConfig(), tuner_opts);
-          if (tuned_or.ok()) tuned_qes_ = tuned_or.value().config;
-        }
+  for (size_t s = 0; s < n_seg; ++s) {
+    if (config_.auto_tune && config_.use_cnn_query_tower &&
+        config_.tune_per_segment) {
+      Rng rng(ctx.seed + s);
+      auto samples = FlattenSegment(ctx.workload->train, s,
+                                    config_.zero_keep_prob, &rng);
+      if (samples.size() >= 10) {
+        TunerOptions tuner_opts = config_.tuner;
+        tuner_opts.seed = ctx.seed + 17 + s;
+        auto tuned_or =
+            GreedyTuneQes(queries, &xc, samples, LocalConfig(), tuner_opts);
+        if (tuned_or.ok()) tuned_qes_ = tuned_or.value().config;
       }
-      Rng rng(ctx.seed + 31 * s + 1);
-      CardModelConfig config = LocalConfig();
-      auto local_or = LocalModel::Build(s, config, &rng);
-      if (!local_or.ok()) return local_or.status();
-      locals_.push_back(std::move(local_or.value()));
-      locals_.back()->set_max_card(
-          static_cast<double>(segmentation_.members[s].size()));
-      CardTrainOptions train_opts = config_.local_train;
-      train_opts.seed = ctx.seed + 101 * s;
-      auto loss_or = locals_.back()->Train(queries, xc, ctx.workload->train,
-                                           config_.zero_keep_prob, train_opts);
-      if (!loss_or.ok()) return loss_or.status();
     }
-  }
-
-  // Retain a small member sample per segment so inference can degrade to a
-  // sampling estimate when a local model is quarantined or non-finite.
-  fallbacks_.clear();
-  fallbacks_.reserve(n_seg);
-  {
-    Rng fb_rng(ctx.seed + 7919);
-    for (size_t s = 0; s < n_seg; ++s) {
-      fallbacks_.push_back(SegmentFallback::FromSegment(
-          *ctx.dataset, segmentation_.members[s],
-          SegmentFallback::kDefaultSamples, &fb_rng));
+    Rng rng(ctx.seed + 31 * s + 1);
+    auto local_or = LocalModel::Build(s, LocalConfig(), &rng);
+    if (!local_or.ok()) {
+      status[s] = local_or.status();
+      break;
     }
+    locals_.push_back(std::move(local_or.value()));
+    locals_.back()->set_max_card(
+        static_cast<double>(segmentation_.members[s].size()));
   }
-
-  // Phase 2 (Algorithm 2): the global discriminative model.
   global_.reset();
-  if (config_.use_global_model) {
+  if (config_.use_global_model && locals_.size() == n_seg) {
     GlobalModelConfig gconfig;
     gconfig.query_dim = dim_;
     gconfig.num_segments = n_seg;
@@ -179,16 +165,66 @@ Status GlEstimator::Train(const TrainContext& ctx) {
     gconfig.sigma = config_.sigma;
     Rng rng(ctx.seed + 997);
     auto global_or = GlobalModel::Build(gconfig, &rng);
-    if (!global_or.ok()) return global_or.status();
-    global_ = std::move(global_or.value());
+    if (global_or.ok()) {
+      global_ = std::move(global_or.value());
+    } else {
+      status[n_seg] = global_or.status();
+    }
+  }
 
-    obs::TraceSpan global_span("gl.train.global");
-    GlobalLabels labels = BuildGlobalLabels(ctx.workload->train, n_seg);
-    GlobalTrainOptions gopts = config_.global_train;
-    gopts.use_penalty = config_.use_penalty;
-    gopts.seed = ctx.seed + 499;
-    auto gloss_or = TrainGlobalModel(global_.get(), queries, xc, labels, gopts);
-    if (!gloss_or.ok()) return gloss_or.status();
+  // Parallel section: Algorithm 1 per segment and Algorithm 2 are
+  // independent tasks that share only read-only inputs (queries, xc, the
+  // training labels); each owns its model, seeds, watchdog and loss series.
+  // The global model, the longest task, is task 0 so it starts first. While
+  // fault injection is armed the same loop runs on this thread in task
+  // order, so train.nan_loss's shared hit counter picks the same model on
+  // every run.
+  const size_t first_local = global_ != nullptr ? 1 : 0;
+  const size_t num_tasks = first_local + locals_.size();
+  {
+    obs::TraceSpan models_span("gl.train.models");
+    ParallelFor(
+        0, num_tasks,
+        [&](size_t task) {
+          if (task < first_local) {
+            obs::TraceSpan global_span("gl.train.global");
+            GlobalLabels labels =
+                BuildGlobalLabels(ctx.workload->train, n_seg);
+            GlobalTrainOptions gopts = config_.global_train;
+            gopts.use_penalty = config_.use_penalty;
+            gopts.seed = ctx.seed + 499;
+            status[n_seg] =
+                TrainGlobalModel(global_.get(), queries, xc, labels, gopts)
+                    .status();
+            return;
+          }
+          const size_t s = task - first_local;
+          CardTrainOptions train_opts = config_.local_train;
+          train_opts.seed = ctx.seed + 101 * s;
+          status[s] = locals_[s]
+                          ->Train(queries, xc, ctx.workload->train,
+                                  config_.zero_keep_prob, train_opts)
+                          .status();
+        },
+        /*min_chunk=*/fault::Enabled() ? num_tasks : 1);
+  }
+  // What the serial loop would have returned: the lowest-numbered failing
+  // local, then the global model's failure.
+  for (const Status& st : status) {
+    if (!st.ok()) return st;
+  }
+
+  // Retain a small member sample per segment so inference can degrade to a
+  // sampling estimate when a local model is quarantined or non-finite.
+  fallbacks_.clear();
+  fallbacks_.reserve(n_seg);
+  {
+    Rng fb_rng(ctx.seed + 7919);
+    for (size_t s = 0; s < n_seg; ++s) {
+      fallbacks_.push_back(SegmentFallback::FromSegment(
+          *ctx.dataset, segmentation_.members[s],
+          SegmentFallback::kDefaultSamples, &fb_rng));
+    }
   }
 
   set_training_seconds(watch.ElapsedSeconds());
@@ -487,12 +523,7 @@ double GlEstimator::Estimate(const EstimateRequest& request) {
 }
 
 double GlEstimator::Estimate(const EstimateRequest& request) const {
-  // The span's size is the query's only length: anything but dim_ floats
-  // (an empty span included) is refused rather than read past its end.
-  if (request.query.size() != dim_) {
-    if (obs::MetricsEnabled()) QueryMetrics().fb_invalid_query->Increment();
-    return 0.0;
-  }
+  if (!QueryHasDim(request, dim_)) return 0.0;
   double total = 0.0;
   for (const SegmentEstimate& se :
        EstimatePerSegment(request.query.data(), request.tau,

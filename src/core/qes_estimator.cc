@@ -75,6 +75,7 @@ Status FlatCardEstimator::Train(const TrainContext& ctx) {
 }
 
 double FlatCardEstimator::Estimate(const EstimateRequest& request) {
+  if (!QueryHasDim(request, samples_.cols())) return 0.0;
   const float* query = request.query.data();
   const auto xd = SampleDistanceRow(query, samples_, metric_);
   const double est = model_->EstimateCard(query, request.tau, xd.data());

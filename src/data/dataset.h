@@ -35,6 +35,8 @@ class Dataset {
   const float* Point(size_t i) const { return points_.Row(i); }
 
   /// Bit-packed rows; built on first use, only meaningful for kHamming.
+  /// The first call fills a cache without a lock: make it on one thread
+  /// before sharing the result (GroundTruth does so at construction).
   const BitMatrix& bits() const;
 
   /// Distance from an external vector `q` (length dim()) to point `i`.

@@ -23,26 +23,31 @@ size_t QueryDistanceProfile::SegCountAt(size_t s, float tau) const {
 
 float QueryDistanceProfile::TauForSelectivity(double selectivity) const {
   if (sorted_all.empty()) return 0.0f;
-  const size_t n = sorted_all.size();
+  return sorted_all[RankForSelectivity(selectivity, sorted_all.size()) - 1];
+}
+
+size_t RankForSelectivity(double selectivity, size_t n) {
   size_t rank = static_cast<size_t>(
       std::ceil(selectivity * static_cast<double>(n)));
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
-  return sorted_all[rank - 1];
+  return rank;
 }
 
-GroundTruth::GroundTruth(const Dataset* dataset) : dataset_(dataset) {}
+GroundTruth::GroundTruth(const Dataset* dataset)
+    : dataset_(dataset),
+      bits_(dataset->metric() == Metric::kHamming ? &dataset->bits()
+                                                  : nullptr) {}
 
 void GroundTruth::ComputeAllDistances(const float* q,
                                       std::vector<float>* out) const {
   const size_t n = dataset_->size();
   out->resize(n);
   float* dists = out->data();
-  if (dataset_->metric() == Metric::kHamming) {
-    const BitMatrix& bits = dataset_->bits();
-    const auto packed = bits.PackVector(q);
+  if (bits_ != nullptr) {
+    const auto packed = bits_->PackVector(q);
     ParallelFor(0, n, [&](size_t i) {
-      dists[i] = bits.HammingNormalized(i, packed.data());
+      dists[i] = bits_->HammingNormalized(i, packed.data());
     });
     return;
   }

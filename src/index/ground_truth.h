@@ -2,11 +2,13 @@
 //
 // Label construction is the dominant offline cost in the paper (Exp-10:
 // "the construction computes the distances between all pairs of datasets and
-// queries"). We compute each query's distances to the whole dataset once and
-// keep them sorted — overall and per data segment — after which the exact
-// card(q, tau) for *any* tau is a binary search, and thresholds can be
-// derived from target selectivities by rank lookup (how the paper picks its
-// 10 thresholds per query).
+// queries"). We compute each query's distances to the whole dataset once.
+// A sorted profile (overall and per data segment) answers the exact
+// card(q, tau) for *any* tau by binary search, and derives thresholds from
+// target selectivities by rank lookup (how the paper picks its 10 thresholds
+// per query). Workload labelling (workload/queries.cc) needs only a handful
+// of thresholds per query, so it selects ranks and counts instead of sorting,
+// and builds the profile only when asked to keep it.
 #ifndef SIMCARD_INDEX_GROUND_TRUTH_H_
 #define SIMCARD_INDEX_GROUND_TRUTH_H_
 
@@ -34,9 +36,19 @@ struct QueryDistanceProfile {
   float TauForSelectivity(double selectivity) const;
 };
 
+/// 1-based rank, among n > 0 ascending distances, of the threshold for
+/// `selectivity`: ceil(selectivity * n) clamped to [1, n].
+size_t RankForSelectivity(double selectivity, size_t n);
+
 /// \brief Brute-force (but bit-accelerated for Hamming) exact counter.
+///
+/// Safe to share across threads once constructed. The dataset must not
+/// change while a GroundTruth over it is alive.
 class GroundTruth {
  public:
+  /// Resolves a Hamming dataset's bit-packed rows here, on the constructing
+  /// thread: Dataset::bits() fills its cache lazily and without a lock, so
+  /// scans running on pool workers must only read it.
   explicit GroundTruth(const Dataset* dataset);
 
   /// Writes all n distances from `q` into `out` (resized).
@@ -54,6 +66,7 @@ class GroundTruth {
 
  private:
   const Dataset* dataset_;  // borrowed; must outlive this object
+  const BitMatrix* bits_;   // dataset_->bits() for Hamming, else null
 };
 
 }  // namespace simcard

@@ -14,6 +14,11 @@
 // Tags name the model instance: "local.<segment>", "global", "kmeans", ...
 // Loops pass an empty tag to stay silent (e.g. tuner trial fits, which
 // would flood the report with dozens of short throwaway series).
+//
+// GlEstimator::Train fits its global and local models concurrently, so
+// callbacks for different tags may arrive at the same time from different
+// threads; one tag's callbacks always arrive in order, from one thread.
+// Observers must therefore be safe to call concurrently.
 #ifndef SIMCARD_OBS_TRAINING_OBSERVER_H_
 #define SIMCARD_OBS_TRAINING_OBSERVER_H_
 

@@ -386,9 +386,12 @@ ShardedEstimateResponse ShardedEstimationService::Estimate(
       answer.epoch = primary.model_epoch;
       if (primary.corrected) response.corrected_mask |= bit;
       BreakerOnResult(shard, k, true);
+      // From `start`, the origin the hedge is armed from: shard k's
+      // primary has been running since the scatter, so the gather's wait
+      // on earlier shards is part of its latency.
       shard.latency.Record(
           std::chrono::duration_cast<std::chrono::microseconds>(
-              steady_clock::now() - shard_start)
+              steady_clock::now() - start)
               .count());
       if (answer.hedged) {
         hedges_wasted_.fetch_add(1, std::memory_order_relaxed);

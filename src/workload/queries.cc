@@ -2,59 +2,165 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 
 namespace simcard {
 namespace {
 
-// Fills one query's threshold labels from its distance profile.
-void LabelThresholds(const QueryDistanceProfile& profile,
-                     const Segmentation* seg,
-                     const std::vector<float>& taus, LabeledQuery* out) {
-  out->thresholds.clear();
-  out->thresholds.reserve(taus.size());
-  for (float tau : taus) {
-    ThresholdLabel label;
-    label.tau = tau;
-    label.card = static_cast<float>(profile.CountAt(tau));
-    if (seg != nullptr) {
-      label.seg_cards.resize(seg->num_segments());
-      for (size_t s = 0; s < seg->num_segments(); ++s) {
-        label.seg_cards[s] = static_cast<float>(profile.SegCountAt(s, tau));
-      }
-    }
-    out->thresholds.push_back(std::move(label));
-  }
-}
-
-// Training selectivities: uniform in (0, max_sel].
-std::vector<float> TrainTaus(const QueryDistanceProfile& profile,
-                             size_t count, double max_sel, Rng* rng) {
-  std::vector<float> taus(count);
-  for (auto& tau : taus) {
+// Training selectivities: uniform in (0, max_sel], as 1-based ranks among
+// n ascending distances.
+std::vector<size_t> TrainRanks(size_t n, size_t count, double max_sel,
+                               Rng* rng) {
+  std::vector<size_t> ranks(count);
+  for (auto& rank : ranks) {
     const double sel = std::max(1e-9, rng->NextDouble()) * max_sel;
-    tau = profile.TauForSelectivity(sel);
+    rank = RankForSelectivity(sel, n);
   }
-  std::sort(taus.begin(), taus.end());
-  return taus;
+  return ranks;
 }
 
 // Testing selectivities: geometric mixture biased toward low selectivity
 // (the paper's "geometrical distribution of selectivities").
-std::vector<float> TestTaus(const QueryDistanceProfile& profile, size_t count,
-                            double max_sel, Rng* rng) {
-  std::vector<float> taus(count);
-  for (auto& tau : taus) {
+std::vector<size_t> TestRanks(size_t n, size_t count, double max_sel,
+                              Rng* rng) {
+  std::vector<size_t> ranks(count);
+  for (auto& rank : ranks) {
     const int k = std::min(rng->NextGeometric(0.5), 6);
     const double jitter = 0.5 + 0.5 * rng->NextDouble();
     const double sel = max_sel * jitter / static_cast<double>(1 << k);
-    tau = profile.TauForSelectivity(sel);
+    rank = RankForSelectivity(sel, n);
   }
-  std::sort(taus.begin(), taus.end());
-  return taus;
+  return ranks;
+}
+
+// Rows per segment among the dataset's first n rows (empty without a
+// segmentation). Fails when the assignment does not cover those rows.
+Result<std::vector<size_t>> SegmentSizes(const Segmentation* seg, size_t n) {
+  std::vector<size_t> sizes;
+  if (seg == nullptr) return sizes;
+  if (seg->assignment.size() < n) {
+    return Status::InvalidArgument(
+        "workload labels: segmentation does not cover the dataset");
+  }
+  sizes.assign(seg->num_segments(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t s = seg->assignment[i];
+    if (s >= sizes.size()) {
+      return Status::InvalidArgument(
+          "workload labels: row assigned to a missing segment");
+    }
+    ++sizes[s];
+  }
+  return sizes;
+}
+
+// Gives a kept profile fresh storage of exactly the sizes LabelQuery fills,
+// so LabelQuery never reallocates it: it may run on a pool worker, and
+// memory a pool thread allocates lives in that thread's malloc arena and
+// stays resident there. (Growing the old storage instead would also double
+// its capacity.)
+void ReserveProfile(size_t n, const std::vector<size_t>& seg_sizes,
+                    QueryDistanceProfile* profile) {
+  *profile = QueryDistanceProfile{};
+  profile->sorted_all.reserve(n);
+  profile->sorted_by_seg.resize(seg_sizes.size());
+  for (size_t s = 0; s < seg_sizes.size(); ++s) {
+    profile->sorted_by_seg[s].reserve(seg_sizes[s]);
+  }
+}
+
+// Labels one query from one scan of the dataset, without sorting its n
+// distances:
+//  * with `ranks` (a new workload), each tau is the distance at that 1-based
+//    rank, selected by a max-heap of the smallest distances up to the
+//    largest rank, which is at most max_selectivity of n;
+//  * with no ranks (a relabel), `lq` keeps its taus.
+// Every cardinality, in total and per segment, comes from one counting pass.
+// The labels are bitwise equal to those of the sorted profile (BuildProfile,
+// TauForSelectivity, CountAt/SegCountAt). A non-null `profile`, prepared by
+// ReserveProfile, also receives the sorted profile, as an output only.
+void LabelQuery(const GroundTruth& gt, const Segmentation* seg,
+                const std::vector<size_t>& seg_sizes, const float* q,
+                const std::vector<size_t>& ranks, LabeledQuery* lq,
+                QueryDistanceProfile* profile) {
+  std::vector<float> scratch;
+  std::vector<float>& dists =
+      profile != nullptr ? profile->sorted_all : scratch;
+  gt.ComputeAllDistances(q, &dists);
+  const size_t n = dists.size();
+
+  if (!ranks.empty()) {
+    const size_t top = *std::max_element(ranks.begin(), ranks.end());
+    std::vector<float> smallest;
+    smallest.reserve(top);
+    for (float d : dists) {
+      if (smallest.size() < top) {
+        smallest.push_back(d);
+        std::push_heap(smallest.begin(), smallest.end());
+      } else if (d < smallest.front()) {
+        std::pop_heap(smallest.begin(), smallest.end());
+        smallest.back() = d;
+        std::push_heap(smallest.begin(), smallest.end());
+      }
+    }
+    std::sort_heap(smallest.begin(), smallest.end());
+    std::vector<float> taus(ranks.size());
+    for (size_t k = 0; k < ranks.size(); ++k) {
+      taus[k] = smallest[ranks[k] - 1];
+    }
+    std::sort(taus.begin(), taus.end());
+    lq->thresholds.resize(taus.size());
+    for (size_t k = 0; k < taus.size(); ++k) lq->thresholds[k].tau = taus[k];
+  }
+
+  // The counting pass, per segment (one column without a segmentation).
+  // Only distances within the largest tau can count, and those are about
+  // max_selectivity of n, so the per-tau test is cheap.
+  const size_t n_seg = seg_sizes.size();
+  const size_t k_count = lq->thresholds.size();
+  float top_tau = -std::numeric_limits<float>::infinity();
+  for (const ThresholdLabel& t : lq->thresholds) {
+    top_tau = std::max(top_tau, t.tau);
+  }
+  const size_t cols = std::max<size_t>(1, n_seg);
+  std::vector<size_t> counts(k_count * cols, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const float d = dists[i];
+    if (!(d <= top_tau)) continue;
+    const size_t col = n_seg > 0 ? seg->assignment[i] : 0;
+    for (size_t k = 0; k < k_count; ++k) {
+      counts[k * cols + col] += d <= lq->thresholds[k].tau;
+    }
+  }
+  for (size_t k = 0; k < k_count; ++k) {
+    ThresholdLabel& label = lq->thresholds[k];
+    label.seg_cards.resize(n_seg);
+    size_t total = 0;
+    for (size_t c = 0; c < cols; ++c) {
+      total += counts[k * cols + c];
+      if (n_seg > 0) {
+        label.seg_cards[c] = static_cast<float>(counts[k * cols + c]);
+      }
+    }
+    label.card = static_cast<float>(total);
+  }
+
+  if (profile != nullptr) {
+    if (n_seg > 0) {
+      // Filled within the storage ReserveProfile sized.
+      for (auto& v : profile->sorted_by_seg) v.clear();
+      for (size_t i = 0; i < n; ++i) {
+        profile->sorted_by_seg[seg->assignment[i]].push_back(dists[i]);
+      }
+    }
+    std::sort(dists.begin(), dists.end());
+    for (auto& v : profile->sorted_by_seg) std::sort(v.begin(), v.end());
+  }
 }
 
 }  // namespace
@@ -71,10 +177,14 @@ Result<SearchWorkload> BuildSearchWorkload(const Dataset& dataset,
         "BuildSearchWorkload: thresholds_per_query must be positive");
   }
   Stopwatch watch;
+  const size_t n = dataset.size();
+  auto seg_sizes_or = SegmentSizes(seg, n);
+  if (!seg_sizes_or.ok()) return seg_sizes_or.status();
+  const std::vector<size_t>& seg_sizes = seg_sizes_or.value();
   Rng rng(options.seed);
   const size_t d = dataset.dim();
-  auto picks = rng.SampleWithoutReplacement(
-      dataset.size(), options.num_train + options.num_test);
+  const size_t num_queries = options.num_train + options.num_test;
+  auto picks = rng.SampleWithoutReplacement(n, num_queries);
 
   SearchWorkload wl;
   wl.train_queries = Matrix(options.num_train, d);
@@ -86,33 +196,45 @@ Result<SearchWorkload> BuildSearchWorkload(const Dataset& dataset,
     wl.test_queries.SetRow(i, dataset.Point(picks[options.num_train + i]));
   }
 
+  // Every query's threshold ranks are drawn first, serially and train
+  // queries before test queries. The draws never depend on distances, so
+  // the labelling below can spread the queries over the pool.
+  std::vector<std::vector<size_t>> ranks;
+  ranks.reserve(num_queries);
+  for (size_t i = 0; i < options.num_train; ++i) {
+    ranks.push_back(TrainRanks(n, options.thresholds_per_query,
+                               options.max_selectivity, &rng));
+  }
+  for (size_t i = 0; i < options.num_test; ++i) {
+    ranks.push_back(TestRanks(n, options.thresholds_per_query,
+                              options.max_selectivity, &rng));
+  }
+
   GroundTruth gt(&dataset);
   wl.train.resize(options.num_train);
   wl.test.resize(options.num_test);
   if (options.keep_profiles) {
     wl.train_profiles.resize(options.num_train);
     wl.test_profiles.resize(options.num_test);
+    for (auto& p : wl.train_profiles) ReserveProfile(n, seg_sizes, &p);
+    for (auto& p : wl.test_profiles) ReserveProfile(n, seg_sizes, &p);
   }
-
-  for (size_t i = 0; i < options.num_train; ++i) {
-    QueryDistanceProfile profile =
-        gt.BuildProfile(wl.train_queries.Row(i), seg);
-    wl.train[i].row = static_cast<uint32_t>(i);
-    LabelThresholds(profile, seg,
-                    TrainTaus(profile, options.thresholds_per_query,
-                              options.max_selectivity, &rng),
-                    &wl.train[i]);
-    if (options.keep_profiles) wl.train_profiles[i] = std::move(profile);
-  }
-  for (size_t i = 0; i < options.num_test; ++i) {
-    QueryDistanceProfile profile = gt.BuildProfile(wl.test_queries.Row(i), seg);
-    wl.test[i].row = static_cast<uint32_t>(i);
-    LabelThresholds(profile, seg,
-                    TestTaus(profile, options.thresholds_per_query,
-                             options.max_selectivity, &rng),
-                    &wl.test[i]);
-    if (options.keep_profiles) wl.test_profiles[i] = std::move(profile);
-  }
+  ParallelFor(
+      0, num_queries,
+      [&](size_t i) {
+        const bool train = i < options.num_train;
+        const size_t row = train ? i : i - options.num_train;
+        LabeledQuery& lq = train ? wl.train[row] : wl.test[row];
+        lq.row = static_cast<uint32_t>(row);
+        QueryDistanceProfile* profile = nullptr;
+        if (options.keep_profiles) {
+          profile = train ? &wl.train_profiles[row] : &wl.test_profiles[row];
+        }
+        const Matrix& queries = train ? wl.train_queries : wl.test_queries;
+        LabelQuery(gt, seg, seg_sizes, queries.Row(row), ranks[i], &lq,
+                   profile);
+      },
+      /*min_chunk=*/1);
   wl.label_build_seconds = watch.ElapsedSeconds();
   return wl;
 }
@@ -122,33 +244,36 @@ Status RelabelWorkload(const Dataset& dataset, const Segmentation* seg,
   if (workload->train_queries.cols() != dataset.dim()) {
     return Status::InvalidArgument("RelabelWorkload: dimension mismatch");
   }
+  auto seg_sizes_or = SegmentSizes(seg, dataset.size());
+  if (!seg_sizes_or.ok()) return seg_sizes_or.status();
+  const std::vector<size_t>& seg_sizes = seg_sizes_or.value();
   GroundTruth gt(&dataset);
-  const bool keep =
-      workload->train_profiles.size() == workload->train.size();
-
-  for (size_t i = 0; i < workload->train.size(); ++i) {
-    LabeledQuery& lq = workload->train[i];
-    QueryDistanceProfile profile =
-        gt.BuildProfile(workload->train_queries.Row(lq.row), seg);
-    std::vector<float> taus;
-    taus.reserve(lq.thresholds.size());
-    for (const auto& t : lq.thresholds) taus.push_back(t.tau);
-    LabelThresholds(profile, seg, taus, &lq);
-    if (keep) workload->train_profiles[i] = std::move(profile);
-  }
-  const bool keep_test =
-      workload->test_profiles.size() == workload->test.size();
-  for (size_t i = 0; i < workload->test.size(); ++i) {
-    LabeledQuery& lq = workload->test[i];
-    QueryDistanceProfile profile =
-        gt.BuildProfile(workload->test_queries.Row(lq.row), seg);
-    std::vector<float> taus;
-    taus.reserve(lq.thresholds.size());
-    for (const auto& t : lq.thresholds) taus.push_back(t.tau);
-    LabelThresholds(profile, seg, taus, &lq);
-    if (keep_test) workload->test_profiles[i] = std::move(profile);
-  }
-  return Status::OK();
+  // One query at a time, on this thread: a relabel runs on the refresh path
+  // and rebuilds any kept profiles, whose storage should not move into the
+  // pool threads' malloc arenas.
+  const auto relabel = [&](const Matrix& queries,
+                           std::vector<LabeledQuery>* set,
+                           std::vector<QueryDistanceProfile>* profiles) {
+    const bool keep = profiles->size() == set->size();
+    for (size_t i = 0; i < set->size(); ++i) {
+      LabeledQuery& lq = (*set)[i];
+      if (lq.row >= queries.rows()) {
+        return Status::InvalidArgument(
+            "RelabelWorkload: query row out of range");
+      }
+      QueryDistanceProfile* profile = nullptr;
+      if (keep) {
+        profile = &(*profiles)[i];
+        ReserveProfile(dataset.size(), seg_sizes, profile);
+      }
+      LabelQuery(gt, seg, seg_sizes, queries.Row(lq.row), {}, &lq, profile);
+    }
+    return Status::OK();
+  };
+  SIMCARD_RETURN_IF_ERROR(relabel(workload->train_queries, &workload->train,
+                                  &workload->train_profiles));
+  return relabel(workload->test_queries, &workload->test,
+                 &workload->test_profiles);
 }
 
 namespace {

@@ -5,8 +5,10 @@
 // *selectivities* are uniform in (0, max_selectivity]; each testing query
 // gets 10 thresholds with geometrically-distributed selectivities (more
 // low-selectivity queries), which stresses generalization. Thresholds are
-// derived from target selectivities by rank lookup on the query's sorted
-// distance list, mirroring "generate thresholds ... by selectivities".
+// derived from target selectivities by rank selection over the query's
+// distances, mirroring "generate thresholds ... by selectivities". Queries
+// are labelled concurrently on the shared pool; the labels do not depend on
+// the pool's width.
 #ifndef SIMCARD_WORKLOAD_QUERIES_H_
 #define SIMCARD_WORKLOAD_QUERIES_H_
 

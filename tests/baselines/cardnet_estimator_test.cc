@@ -105,5 +105,15 @@ TEST(CardNetTest, WorksOnHammingData) {
   EXPECT_TRUE(std::isfinite(result.qerror.mean));
 }
 
+TEST(CardNetTest, ShortQuerySpanAnswersZero) {
+  ExperimentEnv env = MakeEnv();
+  CardNetEstimator::Config config;
+  config.epochs = 2;
+  CardNetEstimator est(config);
+  ASSERT_TRUE(est.Train(MakeTrainContext(env)).ok());
+  const float* q = env.workload.test_queries.Row(0);
+  testsupport::ExpectShortQueriesRefused(est, {q, env.dataset.dim()}, 0.5f);
+}
+
 }  // namespace
 }  // namespace simcard

@@ -97,5 +97,13 @@ TEST(KernelEstimatorTest, ModelSizeIsSampleBytes) {
   EXPECT_EQ(est.ModelSizeBytes() % (env.dataset.dim() * sizeof(float)), 0u);
 }
 
+TEST(KernelEstimatorTest, ShortQuerySpanAnswersZero) {
+  ExperimentEnv env = MakeEnv();
+  KernelEstimator est(0.05);
+  ASSERT_TRUE(est.Train(MakeTrainContext(env)).ok());
+  const float* q = env.workload.test_queries.Row(0);
+  testsupport::ExpectShortQueriesRefused(est, {q, env.dataset.dim()}, 0.5f);
+}
+
 }  // namespace
 }  // namespace simcard

@@ -111,5 +111,13 @@ TEST(SamplingEstimatorTest, ModelSizeIsSampleBytes) {
             est.sample_rows() * env.dataset.dim() * sizeof(float));
 }
 
+TEST(SamplingEstimatorTest, ShortQuerySpanAnswersZero) {
+  ExperimentEnv env = MakeEnv();
+  SamplingEstimator est("Sampling (10%)", 0.10);
+  ASSERT_TRUE(est.Train(MakeTrainContext(env)).ok());
+  const float* q = env.workload.test_queries.Row(0);
+  testsupport::ExpectShortQueriesRefused(est, {q, env.dataset.dim()}, 0.5f);
+}
+
 }  // namespace
 }  // namespace simcard

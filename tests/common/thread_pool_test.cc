@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace simcard {
@@ -54,6 +58,75 @@ TEST(ParallelForTest, CoversEntireRange) {
             static_cast<int>(hits.size()));
 }
 
+TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
+  for (const size_t n : {1, 2, 7, 17, 1000, 10001}) {
+    for (const size_t min_chunk : {0, 1, 3, 256}) {
+      std::vector<std::atomic<int>> hits(n + 5);
+      ParallelFor(5, n + 5, [&](size_t i) { hits[i].fetch_add(1); },
+                  min_chunk);
+      for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < 5 ? 0 : 1)
+            << "index " << i << " of n=" << n << " min_chunk=" << min_chunk;
+      }
+    }
+  }
+}
+
+// Each call waits for its own range only: a caller whose range is done
+// returns while another caller's task is still blocked on the pool.
+TEST(ParallelForTest, ConcurrentCallersWaitOnlyForTheirOwnRange) {
+  if (GlobalThreadPool()->num_threads() < 2) {
+    GTEST_SKIP() << "needs two pool workers";
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool release = false;
+  std::atomic<bool> slow_done{false};
+  std::thread slow([&] {
+    ParallelFor(
+        0, 2,
+        [&](size_t i) {
+          if (i != 0) return;
+          std::unique_lock<std::mutex> lock(mu);
+          blocked = true;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+        },
+        1);
+    slow_done = true;
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked; });
+  }
+
+  std::vector<std::atomic<int>> hits(1000);
+  std::atomic<bool> fast_done{false};
+  std::thread fast([&] {
+    ParallelFor(0, hits.size(), [&](size_t i) { hits[i].fetch_add(1); }, 1);
+    fast_done = true;
+  });
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (!fast_done && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fast_done.load()) << "waited on the other caller's task";
+  EXPECT_FALSE(slow_done.load());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  fast.join();
+  slow.join();
+  EXPECT_TRUE(slow_done.load());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(ParallelForTest, EmptyRangeIsNoop) {
   bool called = false;
   ParallelFor(5, 5, [&](size_t) { called = true; });
@@ -70,15 +143,24 @@ TEST(ParallelForTest, RespectsOffsets) {
 
 TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
   std::atomic<int> counter(0);
+  std::atomic<int> off_thread(0);
   ParallelFor(
       0, 2000,
       [&](size_t) {
-        // Nested ParallelFor must fall back to inline execution on pool
-        // workers rather than deadlocking on Wait().
-        ParallelFor(0, 4, [&](size_t) { counter.fetch_add(1); }, 1);
+        // A nested ParallelFor on a pool worker runs inline, on that
+        // worker, rather than waiting on the pool it occupies.
+        const std::thread::id outer = std::this_thread::get_id();
+        ParallelFor(
+            0, 4,
+            [&](size_t) {
+              counter.fetch_add(1);
+              if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+            },
+            1);
       },
       1);
   EXPECT_EQ(counter.load(), 8000);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(ParallelForTest, SmallRangeRunsInline) {

@@ -12,6 +12,7 @@
 #include "common/checked_file.h"
 #include "common/fault.h"
 #include "core/gl_estimator.h"
+#include "core/qes_estimator.h"
 #include "core/segment_fallback.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
@@ -134,20 +135,9 @@ TEST(GlEstimatorGuardTest, InfQueryAnswersZero) {
 
 TEST(GlEstimatorGuardTest, UnsizedQueryAnswersZero) {
   GlEstimator& est = TrainedEstimator();
-  // A valid buffer behind the pointer: only the span's size may decide.
   std::vector<float> q(16, 0.1f);
   ASSERT_EQ(q.size(), est.dim());
-  const std::span<const float> full(q);
-  for (const std::span<const float> query : {full.first(0), full.first(15)}) {
-    EstimateRequest request;
-    request.query = query;
-    request.tau = 0.2f;
-    double out = -1.0;
-    const int64_t delta = CounterDelta("simcard.fallback.invalid_query",
-                                       [&] { out = est.Estimate(request); });
-    EXPECT_EQ(out, 0.0) << "span of " << query.size() << " floats";
-    EXPECT_EQ(delta, 1) << "span of " << query.size() << " floats";
-  }
+  testsupport::ExpectShortQueriesRefused(est, q, 0.2f);
 }
 
 TEST(GlEstimatorGuardTest, BadTauAnswersZero) {
@@ -283,6 +273,21 @@ TEST(GlEstimatorGuardTest, CheckedRoundTripPreservesEstimates) {
         << "tau " << tau;
   }
   std::remove(saved.path.c_str());
+}
+
+// ---- FlatCardEstimator guard test ----------------------------------------
+
+TEST(FlatCardEstimatorGuardTest, ShortQuerySpanAnswersZero) {
+  EnvOptions opts;
+  opts.num_segments = 3;
+  auto env =
+      std::move(BuildEnvironment("glove-sim", Scale::kTiny, opts).value());
+  FlatCardEstimatorConfig config = FlatCardEstimatorConfig::Qes();
+  config.train.epochs = 2;
+  FlatCardEstimator est(config);
+  ASSERT_TRUE(est.Train(MakeTrainContext(env)).ok());
+  const float* q = env.workload.test_queries.Row(0);
+  testsupport::ExpectShortQueriesRefused(est, {q, env.dataset.dim()}, 0.5f);
 }
 
 }  // namespace

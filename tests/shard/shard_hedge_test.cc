@@ -1,6 +1,8 @@
 // Hedging determinism: a seeded stall schedule produces a reproducible
 // hedge count; a hedge that loses the race to its primary is counted
 // wasted but never double-summed; hedge delays respect the budget clamp.
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,6 +192,67 @@ TEST_F(ShardHedgeTest, StalledShardAnswersWithinDeadline) {
   // Answered within the deadline: the hedge fired at most at the
   // max_delay_fraction point of the shard budget.
   EXPECT_LE(response.total_us, deadline_ms * 1000.0);
+}
+
+// Shard k's hedge is armed from the request's start, so its latency
+// samples must run from there too. Each shard's service gets one worker,
+// and a request sent straight to a shard's service while serve.slow_eval is
+// armed holds that worker for at most hold_ms.
+//  * Warm-up: shard 0 is held, so the gather waits on shard 0 until the
+//    hold ends. Shard 1's primary answered at once, but its samples must
+//    cover that wait.
+//  * Probe: shard 1 is held. Its hedge now waits four times its p99, well
+//    past the hold, so the primary answers and no hedge fires. Samples
+//    taken from when the gather reached shard 1 would be near zero, and the
+//    hedge would fire long before the hold ends.
+TEST_F(ShardHedgeTest, LatencySamplesCoverTheGatherWaitOnEarlierShards) {
+  ShardedServeOptions options;
+  options.serve.num_threads = 1;
+  options.hedge.warmup = 4;
+  options.hedge.p99_multiplier = 4.0;
+  Tier tier = MakeTier(2, options);
+  const Matrix& queries = SharedEnv().workload.test_queries;
+  const size_t dim = queries.cols();
+  const double deadline_ms = 1000.0;  // hedge ceiling 1000 * 0.85 * 0.6 = 510
+  const double hold_ms = 100.0;
+
+  const auto hold = [&](size_t k) {
+    fault::FaultConfig slow;
+    slow.sites = "serve.slow_eval";
+    slow.max_injections = 1;
+    fault::Configure(slow);
+    EstimateRequest blocker = MakeRequest(queries.Row(0), dim, 0.1f);
+    blocker.options.deadline_ms = hold_ms;
+    auto held = tier.service->shard_service(k)->Submit(blocker);
+    // Only the blocker may take the injection: wait until it has.
+    while (fault::InjectionCount() == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return held;
+  };
+  const auto estimate = [&](size_t q) {
+    EstimateRequest request = MakeRequest(queries.Row(q), dim, 0.1f);
+    request.options.deadline_ms = deadline_ms;
+    return tier.service->Estimate(request);
+  };
+
+  for (size_t r = 0; r < options.hedge.warmup; ++r) {
+    auto held = hold(0);
+    const ShardedEstimateResponse response = estimate(r);
+    held.wait();
+    ASSERT_TRUE(response.status.ok());
+    // Both primaries answered, so both shards recorded a sample.
+    ASSERT_EQ(response.hedged_mask, 0u);
+    ASSERT_EQ(response.fallback_mask, 0u);
+  }
+
+  auto held = hold(1);
+  const ShardedEstimateResponse response = estimate(0);
+  held.wait();
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_EQ(response.hedged_mask, 0u);
+  EXPECT_EQ(response.fallback_mask, 0u);
+  EXPECT_EQ(tier.service->hedges_fired(), 0u);
 }
 
 }  // namespace
