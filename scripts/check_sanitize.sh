@@ -102,10 +102,12 @@ if [[ "${MODE}" == "tsan" ]]; then
   # ...and the parallel set-up: queries labelled across the pool and the GL
   # models fitted as concurrent tasks, on a Hamming dataset (bit-packed scan
   # over a lazily filled cache) and an angular one (float scan), plus the
-  # ParallelFor cursor shared by concurrent callers.
+  # ParallelFor cursor shared by concurrent callers, and the kept profiles
+  # that the calling thread allocates and the pool workers fill.
   SETUP_TESTS="LabelParityTest.BitwiseEqualAcrossPaths/(imagenet_sim|glove_sim)"
   SETUP_TESTS+="|ModelParityTest.PoolAndOneWorkerTrainEqualBytes/(imagenet_sim|glove_sim)_GL_CNN"
   SETUP_TESTS+="|ParallelForTest"
+  SETUP_TESTS+="|ProfileLayoutTest.OneExactBufferPerQuery"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "${SETUP_TESTS}" \
     --repeat until-fail:3
 fi

@@ -3,27 +3,54 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "common/thread_pool.h"
 
 namespace simcard {
+namespace {
+
+size_t CountInRun(std::span<const float> run, float tau) {
+  return static_cast<size_t>(std::upper_bound(run.begin(), run.end(), tau) -
+                             run.begin());
+}
+
+}  // namespace
+
+std::span<const float> QueryDistanceProfile::SegmentRun(size_t s) const {
+  assert(s < seg_ends.size());
+  const size_t begin = s == 0 ? 0 : seg_ends[s - 1];
+  return std::span<const float>(distances).subspan(begin,
+                                                   seg_ends[s] - begin);
+}
 
 size_t QueryDistanceProfile::CountAt(float tau) const {
-  return static_cast<size_t>(
-      std::upper_bound(sorted_all.begin(), sorted_all.end(), tau) -
-      sorted_all.begin());
+  if (seg_ends.empty()) return CountInRun(distances, tau);
+  size_t count = 0;
+  for (size_t s = 0; s < seg_ends.size(); ++s) count += SegCountAt(s, tau);
+  return count;
 }
 
 size_t QueryDistanceProfile::SegCountAt(size_t s, float tau) const {
-  assert(s < sorted_by_seg.size());
-  const auto& v = sorted_by_seg[s];
-  return static_cast<size_t>(std::upper_bound(v.begin(), v.end(), tau) -
-                             v.begin());
+  return CountInRun(SegmentRun(s), tau);
 }
 
 float QueryDistanceProfile::TauForSelectivity(double selectivity) const {
-  if (sorted_all.empty()) return 0.0f;
-  return sorted_all[RankForSelectivity(selectivity, sorted_all.size()) - 1];
+  if (distances.empty()) return 0.0f;
+  const size_t rank = RankForSelectivity(selectivity, distances.size());
+  if (seg_ends.empty()) return distances[rank - 1];
+  // The rank-th smallest distance is the least one whose count reaches
+  // `rank`. Along an ascending run the count only grows, so a binary search
+  // finds each run's first such distance; the least of those is the answer.
+  float tau = std::numeric_limits<float>::infinity();
+  for (size_t s = 0; s < seg_ends.size(); ++s) {
+    const std::span<const float> run = SegmentRun(s);
+    const auto it = std::partition_point(
+        run.begin(), run.end(), [&](float d) { return CountAt(d) < rank; });
+    if (it != run.end()) tau = std::min(tau, *it);
+  }
+  return tau;
 }
 
 size_t RankForSelectivity(double selectivity, size_t n) {
@@ -32,6 +59,30 @@ size_t RankForSelectivity(double selectivity, size_t n) {
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
   return rank;
+}
+
+void FillProfile(const std::vector<float>& dists, const Segmentation* seg,
+                 QueryDistanceProfile* profile) {
+  std::vector<float>& out = profile->distances;
+  if (seg == nullptr) {
+    profile->seg_ends.clear();
+    out.assign(dists.begin(), dists.end());
+    std::sort(out.begin(), out.end());
+    return;
+  }
+  // A counting sort by segment, then one sort per run. The cursors start at
+  // the run ends and, filling each run backwards, finish at the run starts.
+  const size_t n = dists.size();
+  out.resize(n);
+  std::vector<size_t>& ends = profile->seg_ends;
+  ends.assign(seg->num_segments(), 0);
+  for (size_t i = 0; i < n; ++i) ++ends[seg->assignment[i]];
+  std::partial_sum(ends.begin(), ends.end(), ends.begin());
+  std::vector<size_t> cursor = ends;
+  for (size_t i = n; i-- > 0;) out[--cursor[seg->assignment[i]]] = dists[i];
+  for (size_t s = 0; s < ends.size(); ++s) {
+    std::sort(out.begin() + cursor[s], out.begin() + ends[s]);
+  }
 }
 
 GroundTruth::GroundTruth(const Dataset* dataset)
@@ -68,21 +119,10 @@ size_t GroundTruth::Count(const float* q, float tau) const {
 
 QueryDistanceProfile GroundTruth::BuildProfile(const float* q,
                                                const Segmentation* seg) const {
-  QueryDistanceProfile profile;
   std::vector<float> dists;
   ComputeAllDistances(q, &dists);
-  if (seg != nullptr) {
-    profile.sorted_by_seg.resize(seg->num_segments());
-    for (size_t s = 0; s < seg->num_segments(); ++s) {
-      profile.sorted_by_seg[s].reserve(seg->members[s].size());
-    }
-    for (size_t i = 0; i < dists.size(); ++i) {
-      profile.sorted_by_seg[seg->assignment[i]].push_back(dists[i]);
-    }
-    for (auto& v : profile.sorted_by_seg) std::sort(v.begin(), v.end());
-  }
-  profile.sorted_all = std::move(dists);
-  std::sort(profile.sorted_all.begin(), profile.sorted_all.end());
+  QueryDistanceProfile profile;
+  FillProfile(dists, seg, &profile);
   return profile;
 }
 

@@ -25,18 +25,30 @@ std::pair<float, float> TauRange(const SearchWorkload& search) {
   return {lo, hi};
 }
 
-// Labels one join set exactly from member profiles.
+// True when every profile has `num_segments` runs (0: unsegmented).
+bool ProfilesHaveSegments(const std::vector<QueryDistanceProfile>& profiles,
+                          size_t num_segments) {
+  return std::all_of(profiles.begin(), profiles.end(),
+                     [&](const QueryDistanceProfile& p) {
+                       return p.num_segments() == num_segments;
+                     });
+}
+
+// Labels one join set exactly from member profiles. A member's total is
+// the sum of its integer segment counts, so it equals CountAt exactly.
 void LabelJoinSet(const std::vector<QueryDistanceProfile>& profiles,
                   size_t num_segments, JoinSet* js) {
   js->card = 0.0;
   js->seg_cards.assign(num_segments, 0.0);
   for (uint32_t row : js->query_rows) {
     const QueryDistanceProfile& profile = profiles[row];
-    js->card += static_cast<double>(profile.CountAt(js->tau));
+    size_t total = num_segments == 0 ? profile.CountAt(js->tau) : 0;
     for (size_t s = 0; s < num_segments; ++s) {
-      js->seg_cards[s] +=
-          static_cast<double>(profile.SegCountAt(s, js->tau));
+      const size_t count = profile.SegCountAt(s, js->tau);
+      js->seg_cards[s] += static_cast<double>(count);
+      total += count;
     }
+    js->card += static_cast<double>(total);
   }
 }
 
@@ -52,6 +64,12 @@ Result<JoinWorkload> BuildJoinWorkload(const SearchWorkload& search,
   }
   if (search.train.empty() || search.test.empty()) {
     return Status::InvalidArgument("BuildJoinWorkload: empty search workload");
+  }
+  if (!ProfilesHaveSegments(search.train_profiles, num_segments) ||
+      !ProfilesHaveSegments(search.test_profiles, num_segments)) {
+    return Status::InvalidArgument(
+        "BuildJoinWorkload: num_segments differs from the profiles' "
+        "segment count");
   }
   Rng rng(options.seed);
   const auto [tau_lo, tau_hi] = TauRange(search);

@@ -5,7 +5,7 @@
 // evenly over the workload's threshold range. Test sets come in three size
 // buckets — [50,100), [100,150), [150,200) — with 10 random thresholds each
 // (Exp-12 / Figure 12). Ground-truth join cardinalities are exact: the sum
-// of each member's card(q, tau), evaluated by rank lookup on the kept
+// of each member's card(q, tau), counted by binary search in the kept
 // distance profiles.
 #ifndef SIMCARD_WORKLOAD_JOIN_SETS_H_
 #define SIMCARD_WORKLOAD_JOIN_SETS_H_
@@ -43,9 +43,12 @@ struct JoinWorkloadOptions {
 
 /// Builds join sets over an existing search workload. Requires
 /// `search.train_profiles` / `search.test_profiles` to be populated
-/// (keep_profiles=true). Test-set members are sampled with replacement when
-/// a bucket exceeds the number of distinct test queries (a join query set is
-/// a multiset, so duplicates are well-defined).
+/// (keep_profiles=true), each with `num_segments` runs (0 when the workload
+/// was built without a segmentation); fails with InvalidArgument otherwise.
+/// A member's counts are binary searches in its profile's per-segment runs.
+/// Test-set members are sampled with replacement when a bucket exceeds the
+/// number of distinct test queries (a join query set is a multiset, so
+/// duplicates are well-defined).
 Result<JoinWorkload> BuildJoinWorkload(const SearchWorkload& search,
                                        size_t num_segments,
                                        const JoinWorkloadOptions& options);

@@ -38,40 +38,33 @@ std::vector<size_t> TestRanks(size_t n, size_t count, double max_sel,
   return ranks;
 }
 
-// Rows per segment among the dataset's first n rows (empty without a
-// segmentation). Fails when the assignment does not cover those rows.
-Result<std::vector<size_t>> SegmentSizes(const Segmentation* seg, size_t n) {
-  std::vector<size_t> sizes;
-  if (seg == nullptr) return sizes;
+// Fails unless `seg` (when given) assigns each of the dataset's first n
+// rows to one of its segments.
+Status CheckSegmentation(const Segmentation* seg, size_t n) {
+  if (seg == nullptr) return Status::OK();
   if (seg->assignment.size() < n) {
     return Status::InvalidArgument(
         "workload labels: segmentation does not cover the dataset");
   }
-  sizes.assign(seg->num_segments(), 0);
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t s = seg->assignment[i];
-    if (s >= sizes.size()) {
+    if (seg->assignment[i] >= seg->num_segments()) {
       return Status::InvalidArgument(
           "workload labels: row assigned to a missing segment");
     }
-    ++sizes[s];
   }
-  return sizes;
+  return Status::OK();
 }
 
-// Gives a kept profile fresh storage of exactly the sizes LabelQuery fills,
-// so LabelQuery never reallocates it: it may run on a pool worker, and
-// memory a pool thread allocates lives in that thread's malloc arena and
+// Gives a kept profile fresh storage of exactly the size FillProfile
+// writes, so LabelQuery never reallocates it: it may run on a pool worker,
+// and memory a pool thread allocates lives in that thread's malloc arena and
 // stays resident there. (Growing the old storage instead would also double
 // its capacity.)
-void ReserveProfile(size_t n, const std::vector<size_t>& seg_sizes,
+void ReserveProfile(size_t n, const Segmentation* seg,
                     QueryDistanceProfile* profile) {
   *profile = QueryDistanceProfile{};
-  profile->sorted_all.reserve(n);
-  profile->sorted_by_seg.resize(seg_sizes.size());
-  for (size_t s = 0; s < seg_sizes.size(); ++s) {
-    profile->sorted_by_seg[s].reserve(seg_sizes[s]);
-  }
+  profile->distances.reserve(n);
+  if (seg != nullptr) profile->seg_ends.reserve(seg->num_segments());
 }
 
 // Labels one query from one scan of the dataset, without sorting its n
@@ -81,16 +74,13 @@ void ReserveProfile(size_t n, const std::vector<size_t>& seg_sizes,
 //    largest rank, which is at most max_selectivity of n;
 //  * with no ranks (a relabel), `lq` keeps its taus.
 // Every cardinality, in total and per segment, comes from one counting pass.
-// The labels are bitwise equal to those of the sorted profile (BuildProfile,
-// TauForSelectivity, CountAt/SegCountAt). A non-null `profile`, prepared by
-// ReserveProfile, also receives the sorted profile, as an output only.
+// The labels are bitwise equal to those of a profile (TauForSelectivity,
+// CountAt/SegCountAt). A non-null `profile`, prepared by ReserveProfile,
+// also receives the profile, as an output only.
 void LabelQuery(const GroundTruth& gt, const Segmentation* seg,
-                const std::vector<size_t>& seg_sizes, const float* q,
-                const std::vector<size_t>& ranks, LabeledQuery* lq,
-                QueryDistanceProfile* profile) {
-  std::vector<float> scratch;
-  std::vector<float>& dists =
-      profile != nullptr ? profile->sorted_all : scratch;
+                const float* q, const std::vector<size_t>& ranks,
+                LabeledQuery* lq, QueryDistanceProfile* profile) {
+  std::vector<float> dists;
   gt.ComputeAllDistances(q, &dists);
   const size_t n = dists.size();
 
@@ -121,7 +111,7 @@ void LabelQuery(const GroundTruth& gt, const Segmentation* seg,
   // The counting pass, per segment (one column without a segmentation).
   // Only distances within the largest tau can count, and those are about
   // max_selectivity of n, so the per-tau test is cheap.
-  const size_t n_seg = seg_sizes.size();
+  const size_t n_seg = seg != nullptr ? seg->num_segments() : 0;
   const size_t k_count = lq->thresholds.size();
   float top_tau = -std::numeric_limits<float>::infinity();
   for (const ThresholdLabel& t : lq->thresholds) {
@@ -150,17 +140,7 @@ void LabelQuery(const GroundTruth& gt, const Segmentation* seg,
     label.card = static_cast<float>(total);
   }
 
-  if (profile != nullptr) {
-    if (n_seg > 0) {
-      // Filled within the storage ReserveProfile sized.
-      for (auto& v : profile->sorted_by_seg) v.clear();
-      for (size_t i = 0; i < n; ++i) {
-        profile->sorted_by_seg[seg->assignment[i]].push_back(dists[i]);
-      }
-    }
-    std::sort(dists.begin(), dists.end());
-    for (auto& v : profile->sorted_by_seg) std::sort(v.begin(), v.end());
-  }
+  if (profile != nullptr) FillProfile(dists, seg, profile);
 }
 
 }  // namespace
@@ -178,9 +158,7 @@ Result<SearchWorkload> BuildSearchWorkload(const Dataset& dataset,
   }
   Stopwatch watch;
   const size_t n = dataset.size();
-  auto seg_sizes_or = SegmentSizes(seg, n);
-  if (!seg_sizes_or.ok()) return seg_sizes_or.status();
-  const std::vector<size_t>& seg_sizes = seg_sizes_or.value();
+  SIMCARD_RETURN_IF_ERROR(CheckSegmentation(seg, n));
   Rng rng(options.seed);
   const size_t d = dataset.dim();
   const size_t num_queries = options.num_train + options.num_test;
@@ -216,8 +194,8 @@ Result<SearchWorkload> BuildSearchWorkload(const Dataset& dataset,
   if (options.keep_profiles) {
     wl.train_profiles.resize(options.num_train);
     wl.test_profiles.resize(options.num_test);
-    for (auto& p : wl.train_profiles) ReserveProfile(n, seg_sizes, &p);
-    for (auto& p : wl.test_profiles) ReserveProfile(n, seg_sizes, &p);
+    for (auto& p : wl.train_profiles) ReserveProfile(n, seg, &p);
+    for (auto& p : wl.test_profiles) ReserveProfile(n, seg, &p);
   }
   ParallelFor(
       0, num_queries,
@@ -231,8 +209,7 @@ Result<SearchWorkload> BuildSearchWorkload(const Dataset& dataset,
           profile = train ? &wl.train_profiles[row] : &wl.test_profiles[row];
         }
         const Matrix& queries = train ? wl.train_queries : wl.test_queries;
-        LabelQuery(gt, seg, seg_sizes, queries.Row(row), ranks[i], &lq,
-                   profile);
+        LabelQuery(gt, seg, queries.Row(row), ranks[i], &lq, profile);
       },
       /*min_chunk=*/1);
   wl.label_build_seconds = watch.ElapsedSeconds();
@@ -244,9 +221,7 @@ Status RelabelWorkload(const Dataset& dataset, const Segmentation* seg,
   if (workload->train_queries.cols() != dataset.dim()) {
     return Status::InvalidArgument("RelabelWorkload: dimension mismatch");
   }
-  auto seg_sizes_or = SegmentSizes(seg, dataset.size());
-  if (!seg_sizes_or.ok()) return seg_sizes_or.status();
-  const std::vector<size_t>& seg_sizes = seg_sizes_or.value();
+  SIMCARD_RETURN_IF_ERROR(CheckSegmentation(seg, dataset.size()));
   GroundTruth gt(&dataset);
   // One query at a time, on this thread: a relabel runs on the refresh path
   // and rebuilds any kept profiles, whose storage should not move into the
@@ -264,9 +239,9 @@ Status RelabelWorkload(const Dataset& dataset, const Segmentation* seg,
       QueryDistanceProfile* profile = nullptr;
       if (keep) {
         profile = &(*profiles)[i];
-        ReserveProfile(dataset.size(), seg_sizes, profile);
+        ReserveProfile(dataset.size(), seg, profile);
       }
-      LabelQuery(gt, seg, seg_sizes, queries.Row(lq.row), {}, &lq, profile);
+      LabelQuery(gt, seg, queries.Row(lq.row), {}, &lq, profile);
     }
     return Status::OK();
   };

@@ -41,8 +41,10 @@ struct SearchWorkload {
   Matrix test_queries;   ///< [n_test, d]
   std::vector<LabeledQuery> train;
   std::vector<LabeledQuery> test;
-  /// Sorted distance profiles (kept when options.keep_profiles) — required
-  /// to label join sets and incremental updates without rescanning.
+  /// Distance profiles, kept when options.keep_profiles: each query's n
+  /// distances, stored once as one ascending run per segment. Only join-set
+  /// labelling (BuildJoinWorkload) reads them; RelabelWorkload rescans the
+  /// dataset and rebuilds them.
   std::vector<QueryDistanceProfile> train_profiles;
   std::vector<QueryDistanceProfile> test_profiles;
   /// Wall-clock cost of label construction (the Fig 14 "label time").

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <future>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,10 @@ auto OnPoolWorker(Fn fn) -> decltype(fn()) {
   auto result = task.get_future();
   GlobalThreadPool()->Submit([&task] { task(); });
   return result.get();
+}
+
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
 }
 
 // Counts label fields that differ bit for bit; reports the first.
@@ -60,49 +65,59 @@ size_t LabelMismatches(const std::vector<LabeledQuery>& got,
     for (size_t t = 0; t < got[q].thresholds.size(); ++t) {
       const ThresholdLabel& a = got[q].thresholds[t];
       const ThresholdLabel& b = want[q].thresholds[t];
-      note(std::bit_cast<uint32_t>(a.tau) == std::bit_cast<uint32_t>(b.tau),
-           q, t, "tau");
-      note(std::bit_cast<uint32_t>(a.card) == std::bit_cast<uint32_t>(b.card),
-           q, t, "card");
+      note(SameBits(a.tau, b.tau), q, t, "tau");
+      note(SameBits(a.card, b.card), q, t, "card");
       const bool same_segs =
-          a.seg_cards.size() == b.seg_cards.size() &&
           std::equal(a.seg_cards.begin(), a.seg_cards.end(),
-                     b.seg_cards.begin(), [](float x, float y) {
-                       return std::bit_cast<uint32_t>(x) ==
-                              std::bit_cast<uint32_t>(y);
-                     });
+                     b.seg_cards.begin(), b.seg_cards.end(), SameBits);
       note(same_segs, q, t, "seg_cards");
     }
   }
   return mismatches;
 }
 
-// Labels `q` from a full sorted profile at the given taus (sorted first).
-LabeledQuery ProfileLabels(const QueryDistanceProfile& profile, uint32_t row,
-                           size_t num_segments, std::vector<float> taus) {
+// One query as the reference sees it: its distances from one scan, in row
+// order, and the selectivities its taus were drawn from (none on relabel).
+struct Scan {
+  std::vector<float> dists;
+  std::vector<double> sels;
+};
+
+// Labels `row` at the given taus (sorted first) by direct counts over its
+// scanned distances, in total and per segment. `seg` may be null.
+LabeledQuery CountLabels(const std::vector<float>& dists,
+                         const Segmentation* seg, uint32_t row,
+                         std::vector<float> taus) {
   std::sort(taus.begin(), taus.end());
+  const size_t num_segments = seg != nullptr ? seg->num_segments() : 0;
   LabeledQuery lq;
   lq.row = row;
   for (float tau : taus) {
+    size_t card = 0;
+    std::vector<size_t> seg_cards(num_segments, 0);
+    for (size_t i = 0; i < dists.size(); ++i) {
+      if (!(dists[i] <= tau)) continue;
+      ++card;
+      if (seg != nullptr) ++seg_cards[seg->assignment[i]];
+    }
     ThresholdLabel label;
     label.tau = tau;
-    label.card = static_cast<float>(profile.CountAt(tau));
-    for (size_t s = 0; s < num_segments; ++s) {
-      label.seg_cards.push_back(static_cast<float>(profile.SegCountAt(s, tau)));
-    }
+    label.card = static_cast<float>(card);
+    for (size_t c : seg_cards) label.seg_cards.push_back(static_cast<float>(c));
     lq.thresholds.push_back(std::move(label));
   }
   return lq;
 }
 
-// The sorted-profile reference for BuildSearchWorkload: the same draws from
-// the workload seed, each tau from TauForSelectivity on a full profile,
-// each card from CountAt/SegCountAt. `seg` may be null.
+// The scan reference for BuildSearchWorkload, which shares no code with the
+// profile layout: the same draws from the workload seed, each tau the
+// distance at its rank in a plain sorted copy of the query's distances, each
+// card a direct count. `seg` may be null.
 void ReferenceLabels(const Dataset& data, const Segmentation* seg,
                      const WorkloadOptions& opts, const SearchWorkload& wl,
                      std::vector<LabeledQuery>* train,
                      std::vector<LabeledQuery>* test,
-                     std::vector<QueryDistanceProfile>* profiles) {
+                     std::vector<Scan>* scans) {
   Rng rng(opts.seed);
   rng.SampleWithoutReplacement(data.size(), opts.num_train + opts.num_test);
   std::vector<std::vector<double>> sels;
@@ -128,33 +143,100 @@ void ReferenceLabels(const Dataset& data, const Segmentation* seg,
     const uint32_t row =
         static_cast<uint32_t>(is_train ? i : i - opts.num_train);
     const Matrix& queries = is_train ? wl.train_queries : wl.test_queries;
-    QueryDistanceProfile profile = gt.BuildProfile(queries.Row(row), seg);
+    Scan scan;
+    gt.ComputeAllDistances(queries.Row(row), &scan.dists);
+    std::vector<float> sorted = scan.dists;
+    std::sort(sorted.begin(), sorted.end());
     std::vector<float> taus;
-    for (double sel : sels[i]) taus.push_back(profile.TauForSelectivity(sel));
+    for (double sel : sels[i]) {
+      taus.push_back(sorted[RankForSelectivity(sel, sorted.size()) - 1]);
+    }
     (is_train ? train : test)
-        ->push_back(ProfileLabels(profile, row,
-                                  seg != nullptr ? seg->num_segments() : 0,
-                                  taus));
-    profiles->push_back(std::move(profile));
+        ->push_back(CountLabels(scan.dists, seg, row, taus));
+    scan.sels = std::move(sels[i]);
+    scans->push_back(std::move(scan));
   }
 }
 
+// Counts kept profiles that disagree with the scan reference; reports the
+// first. Each run must be the std::sort of its segment's scanned distances
+// (all of them without a segmentation); CountAt and SegCountAt at every
+// label tau must equal the reference cards; TauForSelectivity must equal the
+// distance at that rank in a plain sorted copy.
 size_t ProfileMismatches(const std::vector<QueryDistanceProfile>& got,
-                         const std::vector<QueryDistanceProfile>& want) {
-  if (got.size() != want.size()) return 1;
+                         const std::vector<Scan>& scans,
+                         const std::vector<LabeledQuery>& labels,
+                         const Segmentation* seg, const std::string& what) {
+  if (got.size() != scans.size() || got.size() != labels.size()) {
+    ADD_FAILURE() << what << ": " << got.size() << " profiles vs "
+                  << scans.size() << " queries";
+    return 1;
+  }
   size_t mismatches = 0;
-  for (size_t i = 0; i < got.size(); ++i) {
-    mismatches += got[i].sorted_all != want[i].sorted_all;
-    mismatches += got[i].sorted_by_seg != want[i].sorted_by_seg;
+  const auto note = [&](bool same, size_t q, const std::string& field) {
+    if (same) return;
+    if (mismatches++ == 0) {
+      ADD_FAILURE() << what << ": query " << q << " " << field << " differs";
+    }
+  };
+  const size_t num_segments = seg != nullptr ? seg->num_segments() : 0;
+  for (size_t q = 0; q < got.size(); ++q) {
+    const QueryDistanceProfile& profile = got[q];
+    const std::vector<float>& dists = scans[q].dists;
+    if (profile.num_segments() != num_segments) {
+      note(false, q, "segment count");
+      continue;
+    }
+    for (size_t s = 0; s < std::max<size_t>(1, num_segments); ++s) {
+      std::vector<float> want;
+      for (size_t i = 0; i < dists.size(); ++i) {
+        if (seg == nullptr || seg->assignment[i] == s) {
+          want.push_back(dists[i]);
+        }
+      }
+      std::sort(want.begin(), want.end());
+      const std::span<const float> run =
+          seg != nullptr ? profile.SegmentRun(s)
+                         : std::span<const float>(profile.distances);
+      note(std::equal(run.begin(), run.end(), want.begin(), want.end(),
+                      SameBits),
+           q, "run " + std::to_string(s));
+    }
+    for (const ThresholdLabel& t : labels[q].thresholds) {
+      note(static_cast<float>(profile.CountAt(t.tau)) == t.card, q,
+           "CountAt");
+      for (size_t s = 0; s < num_segments; ++s) {
+        note(static_cast<float>(profile.SegCountAt(s, t.tau)) ==
+                 t.seg_cards[s],
+             q, "SegCountAt " + std::to_string(s));
+      }
+    }
+    std::vector<float> sorted = dists;
+    std::sort(sorted.begin(), sorted.end());
+    for (double sel : scans[q].sels) {
+      note(SameBits(profile.TauForSelectivity(sel),
+                    sorted[RankForSelectivity(sel, sorted.size()) - 1]),
+           q, "TauForSelectivity");
+    }
   }
   return mismatches;
+}
+
+// A workload's kept profiles or labels, train then test.
+template <typename T>
+std::vector<T> TrainThenTest(const std::vector<T>& train,
+                             const std::vector<T>& test) {
+  std::vector<T> all = train;
+  all.insert(all.end(), test.begin(), test.end());
+  return all;
 }
 
 class LabelParityTest : public ::testing::TestWithParam<std::string> {};
 
 // Every tau, card and seg_cards is bitwise equal across keep_profiles on
-// and off, the pool and one worker, and the sorted-profile reference; the
-// same holds for RelabelWorkload after rows are added.
+// and off, the pool and one worker, and the scan reference, and every kept
+// profile agrees with that reference; the same holds for RelabelWorkload
+// after rows are added.
 TEST_P(LabelParityTest, BitwiseEqualAcrossPaths) {
   Dataset data = MakeAnalogDataset(GetParam(), Scale::kTiny, 11).value();
   SegmentationOptions seg_opts;
@@ -174,9 +256,8 @@ TEST_P(LabelParityTest, BitwiseEqualAcrossPaths) {
       [&] { return BuildSearchWorkload(data, &seg, opts).value(); });
 
   std::vector<LabeledQuery> ref_train, ref_test;
-  std::vector<QueryDistanceProfile> ref_profiles;
-  ReferenceLabels(data, &seg, opts, kept, &ref_train, &ref_test,
-                  &ref_profiles);
+  std::vector<Scan> ref_scans;
+  ReferenceLabels(data, &seg, opts, kept, &ref_train, &ref_test, &ref_scans);
   for (const auto& [wl, what] :
        {std::pair<const SearchWorkload*, const char*>{&kept, "kept"},
         {&bare, "bare"},
@@ -187,28 +268,33 @@ TEST_P(LabelParityTest, BitwiseEqualAcrossPaths) {
     EXPECT_EQ(
         LabelMismatches(wl->test, ref_test, std::string(what) + " test"), 0u);
   }
-  std::vector<QueryDistanceProfile> kept_profiles = kept.train_profiles;
-  kept_profiles.insert(kept_profiles.end(), kept.test_profiles.begin(),
-                       kept.test_profiles.end());
-  EXPECT_EQ(ProfileMismatches(kept_profiles, ref_profiles), 0u);
+  EXPECT_EQ(ProfileMismatches(
+                TrainThenTest(kept.train_profiles, kept.test_profiles),
+                ref_scans, TrainThenTest(ref_train, ref_test), &seg, "kept"),
+            0u);
+  EXPECT_EQ(ProfileMismatches(TrainThenTest(one_worker.train_profiles,
+                                            one_worker.test_profiles),
+                              ref_scans, TrainThenTest(ref_train, ref_test),
+                              &seg, "one worker"),
+            0u);
   EXPECT_TRUE(bare.train_profiles.empty());
 
-  // Without a segmentation: total cards only, and profiles without
-  // per-segment lists.
+  // Without a segmentation: total cards only, and profiles of one run.
   const SearchWorkload flat = BuildSearchWorkload(data, nullptr, opts).value();
   std::vector<LabeledQuery> flat_train, flat_test;
-  std::vector<QueryDistanceProfile> flat_profiles;
+  std::vector<Scan> flat_scans;
   ReferenceLabels(data, nullptr, opts, flat, &flat_train, &flat_test,
-                  &flat_profiles);
+                  &flat_scans);
   EXPECT_EQ(LabelMismatches(flat.train, flat_train, "flat train"), 0u);
   EXPECT_EQ(LabelMismatches(flat.test, flat_test, "flat test"), 0u);
-  std::vector<QueryDistanceProfile> flat_kept = flat.train_profiles;
-  flat_kept.insert(flat_kept.end(), flat.test_profiles.begin(),
-                   flat.test_profiles.end());
-  EXPECT_EQ(ProfileMismatches(flat_kept, flat_profiles), 0u);
+  EXPECT_EQ(ProfileMismatches(
+                TrainThenTest(flat.train_profiles, flat.test_profiles),
+                flat_scans, TrainThenTest(flat_train, flat_test), nullptr,
+                "flat"),
+            0u);
 
   // Relabel against a grown dataset: the kept and bare workloads agree
-  // with full profiles of the new data at the old taus.
+  // with direct counts over the new data at the old taus.
   Matrix extra = data.points().SliceRows(0, data.size() / 10);
   const size_t old_n = data.size();
   data.Append(extra);
@@ -222,18 +308,19 @@ TEST_P(LabelParityTest, BitwiseEqualAcrossPaths) {
   ASSERT_TRUE(RelabelWorkload(data, &seg, &relabeled_bare).ok());
   GroundTruth gt(&data);
   std::vector<LabeledQuery> want;
-  std::vector<QueryDistanceProfile> want_profiles;
+  std::vector<Scan> want_scans;
   for (const LabeledQuery& lq : kept.train) {
-    QueryDistanceProfile profile =
-        gt.BuildProfile(kept.train_queries.Row(lq.row), &seg);
+    Scan scan;
+    gt.ComputeAllDistances(kept.train_queries.Row(lq.row), &scan.dists);
     std::vector<float> taus;
     for (const ThresholdLabel& t : lq.thresholds) taus.push_back(t.tau);
-    want.push_back(ProfileLabels(profile, lq.row, seg.num_segments(), taus));
-    want_profiles.push_back(std::move(profile));
+    want.push_back(CountLabels(scan.dists, &seg, lq.row, taus));
+    want_scans.push_back(std::move(scan));
   }
   EXPECT_EQ(LabelMismatches(relabeled_kept.train, want, "relabel kept"), 0u);
   EXPECT_EQ(LabelMismatches(relabeled_bare.train, want, "relabel bare"), 0u);
-  EXPECT_EQ(ProfileMismatches(relabeled_kept.train_profiles, want_profiles),
+  EXPECT_EQ(ProfileMismatches(relabeled_kept.train_profiles, want_scans, want,
+                              &seg, "relabel kept"),
             0u);
 }
 

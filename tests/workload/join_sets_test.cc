@@ -46,6 +46,29 @@ TEST(JoinSetsTest, RequiresProfiles) {
                    .ok());
 }
 
+// The segment count must be the profiles' own; any other count is refused
+// before a profile is read, even in builds that drop asserts.
+TEST(JoinSetsTest, RejectsSegmentCountMismatch) {
+  Env env = MakeEnv();
+  WorkloadOptions wl_opts;
+  wl_opts.num_train = 60;
+  wl_opts.num_test = 20;
+  wl_opts.keep_profiles = true;
+  const SearchWorkload flat =
+      BuildSearchWorkload(env.dataset, nullptr, wl_opts).value();
+  EXPECT_EQ(BuildJoinWorkload(flat, 4, SmallJoinOptions()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(BuildJoinWorkload(flat, 0, SmallJoinOptions()).ok());
+  const size_t segments = env.segmentation.num_segments();
+  for (size_t wrong : {size_t{0}, segments - 1, segments + 1}) {
+    EXPECT_EQ(BuildJoinWorkload(env.workload, wrong, SmallJoinOptions())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << wrong << " segments";
+  }
+}
+
 TEST(JoinSetsTest, ShapesMatchOptions) {
   Env env = MakeEnv();
   auto jw = BuildJoinWorkload(env.workload, env.segmentation.num_segments(),

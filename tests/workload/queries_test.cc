@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/serialize.h"
 #include "data/generators.h"
@@ -221,6 +224,79 @@ TEST(WorkloadTest, RelabelAfterAppendIncreasesCards) {
     }
   }
 }
+
+// Rows per segment among the dataset's first n rows.
+std::vector<size_t> SegmentSizes(const Segmentation& seg, size_t n) {
+  std::vector<size_t> sizes(seg.num_segments(), 0);
+  for (size_t i = 0; i < n; ++i) ++sizes[seg.assignment[i]];
+  return sizes;
+}
+
+// Counts kept profiles that are not one buffer of exactly n floats whose
+// runs have the segment sizes (one run when `seg` is null); reports the
+// first.
+size_t LayoutMismatches(const SearchWorkload& wl, size_t n,
+                        const Segmentation* seg, const char* what) {
+  const std::vector<size_t> sizes =
+      seg != nullptr ? SegmentSizes(*seg, n) : std::vector<size_t>{};
+  size_t mismatches = 0;
+  for (const auto* profiles : {&wl.train_profiles, &wl.test_profiles}) {
+    for (const QueryDistanceProfile& p : *profiles) {
+      std::vector<size_t> runs;
+      for (size_t s = 0; s < p.num_segments(); ++s) {
+        runs.push_back(p.SegmentRun(s).size());
+      }
+      const bool exact = p.distances.size() == n &&
+                         p.distances.capacity() == n && runs == sizes;
+      if (!exact && mismatches++ == 0) {
+        ADD_FAILURE() << what << ": " << p.distances.size() << " floats in "
+                      << p.distances.capacity() << " of capacity, "
+                      << runs.size() << " runs, for n = " << n;
+      }
+    }
+  }
+  return mismatches;
+}
+
+class ProfileLayoutTest : public ::testing::TestWithParam<std::string> {};
+
+// A kept profile holds each of its n distances once, in one buffer sized
+// exactly, built or relabelled; its runs are the segments.
+TEST_P(ProfileLayoutTest, OneExactBufferPerQuery) {
+  Dataset data = MakeAnalogDataset(GetParam(), Scale::kTiny, 2).value();
+  SegmentationOptions seg_opts;
+  seg_opts.target_segments = 6;
+  Segmentation seg = SegmentData(data, seg_opts).value();
+  WorkloadOptions opts = SmallOptions();
+  opts.keep_profiles = true;
+
+  SearchWorkload wl = BuildSearchWorkload(data, &seg, opts).value();
+  ASSERT_EQ(wl.train_profiles.size(), wl.train.size());
+  EXPECT_EQ(LayoutMismatches(wl, data.size(), &seg, "built"), 0u);
+  SearchWorkload flat = BuildSearchWorkload(data, nullptr, opts).value();
+  EXPECT_EQ(LayoutMismatches(flat, data.size(), nullptr, "built flat"), 0u);
+
+  Matrix extra = data.points().SliceRows(0, data.size() / 10);
+  const size_t old_n = data.size();
+  data.Append(extra);
+  for (size_t i = 0; i < extra.rows(); ++i) {
+    seg.AddPoint(seg.assignment[i], static_cast<uint32_t>(old_n + i),
+                 extra.Row(i), data.dim(), data.metric());
+  }
+  ASSERT_TRUE(RelabelWorkload(data, &seg, &wl).ok());
+  EXPECT_EQ(LayoutMismatches(wl, data.size(), &seg, "relabelled"), 0u);
+  ASSERT_TRUE(RelabelWorkload(data, nullptr, &flat).ok());
+  EXPECT_EQ(LayoutMismatches(flat, data.size(), nullptr, "relabelled flat"),
+            0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FloatAndHamming, ProfileLayoutTest,
+                         ::testing::Values("glove-sim", "imagenet-sim"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace simcard
