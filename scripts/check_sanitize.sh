@@ -103,9 +103,10 @@ if [[ "${MODE}" == "tsan" ]]; then
   # models fitted as concurrent tasks, on a Hamming dataset (bit-packed scan
   # over a lazily filled cache) and an angular one (float scan), plus the
   # ParallelFor cursor shared by concurrent callers, and the kept profiles
-  # that the calling thread allocates and the pool workers fill.
+  # that the calling thread allocates and the pool workers fill. Local+ runs
+  # the most fits of the shared training loop at once (one per segment).
   SETUP_TESTS="LabelParityTest.BitwiseEqualAcrossPaths/(imagenet_sim|glove_sim)"
-  SETUP_TESTS+="|ModelParityTest.PoolAndOneWorkerTrainEqualBytes/(imagenet_sim|glove_sim)_GL_CNN"
+  SETUP_TESTS+="|ModelParityTest.PoolAndOneWorkerTrainEqualBytes/(imagenet_sim|glove_sim)_(GL_CNN|LocalP)"
   SETUP_TESTS+="|ParallelForTest"
   SETUP_TESTS+="|ProfileLayoutTest.OneExactBufferPerQuery"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "${SETUP_TESTS}" \

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <memory>
+#include <utility>
 
-#include "common/fault.h"
-#include "common/stopwatch.h"
+#include "core/train_loop.h"
 #include "nn/activations.h"
 #include "nn/linear.h"
-#include "nn/optimizer.h"
 #include "nn/positive_linear.h"
-#include "obs/training_observer.h"
 #include "tensor/ops.h"
 
 namespace simcard {
@@ -99,6 +96,11 @@ Status CardModelConfig::Deserialize(Deserializer* in) {
 
 Result<std::unique_ptr<CardModel>> CardModel::Build(
     const CardModelConfig& config, Rng* rng) {
+  return Build(config, /*out_dim=*/1, rng);
+}
+
+Result<std::unique_ptr<CardModel>> CardModel::Build(
+    const CardModelConfig& config, size_t out_dim, Rng* rng) {
   if (config.query_dim == 0) {
     return Status::InvalidArgument("CardModel: query_dim must be positive");
   }
@@ -133,7 +135,7 @@ Result<std::unique_ptr<CardModel>> CardModel::Build(
       /*tau_begin=*/model->query_embed_dim_,
       /*tau_end=*/model->query_embed_dim_ + model->tau_embed_dim_,
       /*mono_hidden=*/std::max<size_t>(8, config.head_hidden / 4),
-      /*free_hidden=*/config.head_hidden, /*out_dim=*/1, rng);
+      /*free_hidden=*/config.head_hidden, out_dim, rng);
   return model;
 }
 
@@ -282,15 +284,11 @@ std::vector<double> CardModel::ApplyBatch(const Matrix& xq,
 }
 
 std::vector<nn::Parameter*> CardModel::Parameters() {
-  std::vector<nn::Parameter*> out = query_tower_->Parameters();
-  auto append = [&out](nn::Layer* layer) {
-    if (layer == nullptr) return;
-    auto ps = layer->Parameters();
-    out.insert(out.end(), ps.begin(), ps.end());
-  };
-  append(tau_tower_.get());
-  append(aux_tower_.get());
-  append(head_.get());
+  // The const list, on a model the caller may modify.
+  std::vector<nn::Parameter*> out;
+  for (const nn::Parameter* p : std::as_const(*this).Parameters()) {
+    out.push_back(const_cast<nn::Parameter*>(p));
+  }
   return out;
 }
 
@@ -326,11 +324,27 @@ void CardModel::SetInputNormalization(float tau_shift, float tau_scale,
   }
 }
 
-void CardModel::Serialize(Serializer* out) const {
+void CardModel::SerializeNormalization(Serializer* out) const {
   out->WriteF32(tau_shift_);
   out->WriteF32(tau_scale_);
   out->WriteFloatVector(aux_shift_);
   out->WriteFloatVector(aux_scale_);
+}
+
+Status CardModel::DeserializeNormalization(Deserializer* in) {
+  SIMCARD_RETURN_IF_ERROR(in->ReadF32(&tau_shift_));
+  SIMCARD_RETURN_IF_ERROR(in->ReadF32(&tau_scale_));
+  SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&aux_shift_));
+  SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&aux_scale_));
+  const size_t width = aux_shift_.empty() ? 0 : config_.aux_dim;
+  if (aux_shift_.size() != width || aux_scale_.size() != width) {
+    return Status::Internal("CardModel: aux standardization width mismatch");
+  }
+  return Status::OK();
+}
+
+void CardModel::Serialize(Serializer* out) const {
+  SerializeNormalization(out);
   query_tower_->Serialize(out);
   tau_tower_->Serialize(out);
   out->WriteU32(aux_tower_ != nullptr ? 1 : 0);
@@ -339,10 +353,7 @@ void CardModel::Serialize(Serializer* out) const {
 }
 
 Status CardModel::Deserialize(Deserializer* in) {
-  SIMCARD_RETURN_IF_ERROR(in->ReadF32(&tau_shift_));
-  SIMCARD_RETURN_IF_ERROR(in->ReadF32(&tau_scale_));
-  SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&aux_shift_));
-  SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&aux_scale_));
+  SIMCARD_RETURN_IF_ERROR(DeserializeNormalization(in));
   SIMCARD_RETURN_IF_ERROR(query_tower_->Deserialize(in));
   SIMCARD_RETURN_IF_ERROR(tau_tower_->Deserialize(in));
   uint32_t has_aux = 0;
@@ -377,51 +388,11 @@ Result<double> TrainCardModel(CardModel* model, const Matrix& queries,
                               std::vector<SampleRef> samples,
                               const CardTrainOptions& options) {
   if (samples.empty()) return 0.0;
-  Rng rng(options.seed);
-
+  // A fine-tune (reset_output_bias off) keeps the standardization and the
+  // output anchor the model was trained with.
   if (options.reset_output_bias) {
-    // Fit input standardization: tau over the samples, aux per column over
-    // the query rows the samples reference.
-    double tau_mean = 0.0;
-    double tau_sq = 0.0;
-    for (const auto& s : samples) {
-      tau_mean += s.tau;
-      tau_sq += static_cast<double>(s.tau) * s.tau;
-    }
-    tau_mean /= static_cast<double>(samples.size());
-    const double tau_var =
-        std::max(0.0, tau_sq / static_cast<double>(samples.size()) -
-                          tau_mean * tau_mean);
-    std::vector<float> aux_shift;
-    std::vector<float> aux_scale;
-    if (aux != nullptr && model->config().aux_dim > 0) {
-      const size_t cols = aux->cols();
-      aux_shift.assign(cols, 0.0f);
-      aux_scale.assign(cols, 1.0f);
-      std::vector<double> mean(cols, 0.0);
-      std::vector<double> sq(cols, 0.0);
-      for (size_t r = 0; r < aux->rows(); ++r) {
-        const float* row = aux->Row(r);
-        for (size_t c = 0; c < cols; ++c) {
-          mean[c] += row[c];
-          sq[c] += static_cast<double>(row[c]) * row[c];
-        }
-      }
-      for (size_t c = 0; c < cols; ++c) {
-        mean[c] /= static_cast<double>(aux->rows());
-        const double var =
-            std::max(0.0, sq[c] / static_cast<double>(aux->rows()) -
-                              mean[c] * mean[c]);
-        aux_shift[c] = static_cast<float>(mean[c]);
-        aux_scale[c] = static_cast<float>(std::sqrt(var));
-      }
-    }
-    model->SetInputNormalization(static_cast<float>(tau_mean),
-                                 static_cast<float>(std::sqrt(tau_var)),
-                                 std::move(aux_shift), std::move(aux_scale));
-  }
-
-  if (options.reset_output_bias) {
+    FitInputNormalization(model, samples,
+                          model->config().aux_dim > 0 ? aux : nullptr);
     // Warm-start the output bias at the mean log-cardinality.
     double mean_log = 0.0;
     for (const auto& s : samples) {
@@ -430,70 +401,16 @@ Result<double> TrainCardModel(CardModel* model, const Matrix& queries,
     model->SetOutputBias(static_cast<float>(mean_log / samples.size()));
   }
 
-  float lr = options.lr;
-  auto opt = std::make_unique<nn::Adam>(model->Parameters(), lr);
   nn::HybridCardLoss loss(options.lambda);
-  DivergenceWatchdog watchdog(options.watchdog, model->Parameters(),
-                              options.observer_tag.empty()
-                                  ? std::string("card")
-                                  : options.observer_tag);
-
-  Stopwatch total_watch;
-  Stopwatch epoch_watch;
-  double best = std::numeric_limits<double>::infinity();
-  size_t stall = 0;
-  size_t epochs_run = 0;
-  double last_good_loss = 0.0;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    epoch_watch.Restart();
-    rng.Shuffle(&samples);
-    double epoch_loss = 0.0;
-    size_t batches = 0;
-    for (size_t first = 0; first < samples.size();
-         first += options.batch_size) {
-      const size_t count =
-          std::min(options.batch_size, samples.size() - first);
-      Batch batch = GatherBatch(queries, aux, samples, first, count);
-      opt->ZeroGrad();
-      Matrix pred = model->Forward(batch.xq, batch.xtau, batch.xaux);
-      Matrix grad;
-      epoch_loss += loss.Compute(pred, batch.targets, &grad);
-      model->Backward(grad);
-      opt->ClipGradNorm(options.grad_clip_norm);
-      opt->Step();
-      ++batches;
-    }
-    epoch_loss /= static_cast<double>(std::max<size_t>(1, batches));
-    if (fault::ShouldFail("train.nan_loss")) {
-      epoch_loss = std::numeric_limits<double>::quiet_NaN();
-    }
-    switch (watchdog.Observe(epoch, epoch_loss, &lr)) {
-      case DivergenceWatchdog::Verdict::kOk:
-        break;
-      case DivergenceWatchdog::Verdict::kRolledBack:
-        // Adam's moments were fed the diverging gradients; start fresh at
-        // the halved learning rate.
-        opt = std::make_unique<nn::Adam>(model->Parameters(), lr);
-        continue;
-      case DivergenceWatchdog::Verdict::kExhausted:
-        obs::NotifyTrainEnd(options.observer_tag, epochs_run, last_good_loss,
-                            total_watch.ElapsedSeconds());
-        return watchdog.ExhaustedStatus();
-    }
-    last_good_loss = epoch_loss;
-    epochs_run = epoch + 1;
-    obs::NotifyTrainEpoch(options.observer_tag, epoch, epoch_loss,
-                          epoch_watch.ElapsedSeconds());
-    if (epoch_loss < best * (1.0 - options.min_improvement)) {
-      best = epoch_loss;
-      stall = 0;
-    } else if (++stall >= options.patience) {
-      break;
-    }
-  }
-  obs::NotifyTrainEnd(options.observer_tag, epochs_run, last_good_loss,
-                      total_watch.ElapsedSeconds());
-  return last_good_loss;
+  return RunTrainingEpochs(
+      model, options, "card", &samples, [&](size_t first, size_t count) {
+        Batch batch = GatherBatch(queries, aux, samples, first, count);
+        Matrix pred = model->Forward(batch.xq, batch.xtau, batch.xaux);
+        Matrix grad;
+        const double batch_loss = loss.Compute(pred, batch.targets, &grad);
+        model->Backward(grad);
+        return batch_loss;
+      });
 }
 
 }  // namespace simcard

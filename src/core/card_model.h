@@ -8,6 +8,9 @@
 // monotonicity property, Sections 2/5.1), while query/distance features use
 // an unconstrained branch.
 //
+// Built with one output per data segment, the same network is the global
+// model G (core/global_model.h); both train in core/train_loop.h.
+//
 // The model predicts u = log(card); the training loss exponentiates it
 // (nn::HybridCardLoss). ForwardPooled/BackwardPooled implement the paper's
 // similarity-join mode (Section 4): member query embeddings (and member aux
@@ -107,7 +110,8 @@ class CardModel {
   /// Warm-starts the head's output bias (e.g. at mean log-card).
   void SetOutputBias(float value);
 
-  /// \brief Input standardization, fitted by TrainCardModel.
+  /// \brief Input standardization, fitted when training starts
+  /// (FitInputNormalization in core/train_loop.h).
   ///
   /// tau and each aux column are z-scored before entering their towers.
   /// The tau transform is affine with positive scale, so monotonicity in
@@ -132,7 +136,20 @@ class CardModel {
   static Result<std::unique_ptr<CardModel>> LoadWithConfig(Deserializer* in);
 
  private:
+  // GlobalModel is this network built wide, with its own file layout.
+  friend class GlobalModel;
+
   CardModel() = default;
+
+  /// Build with `out_dim` outputs (the public Build has one).
+  static Result<std::unique_ptr<CardModel>> Build(
+      const CardModelConfig& config, size_t out_dim, Rng* rng);
+
+  /// The standardization, first in both this layout and GlobalModel's.
+  /// Reading refuses an aux standardization that is not as wide as the
+  /// aux input, since NormalizeAux indexes it by column.
+  void SerializeNormalization(Serializer* out) const;
+  Status DeserializeNormalization(Deserializer* in);
 
   Matrix NormalizeTau(const Matrix& xtau) const;
   Matrix NormalizeAux(const Matrix& xaux) const;
@@ -167,7 +184,8 @@ struct CardTrainOptions {
   double min_improvement = 0.005;
   size_t patience = 6;
   /// Warm-start the output bias at the mean log-cardinality of the training
-  /// labels. Disable when fine-tuning an already-trained model.
+  /// labels, and refit the input standardization. Disable when fine-tuning
+  /// an already-trained model.
   bool reset_output_bias = true;
   /// Name under which per-epoch loss/time are reported to the observability
   /// layer (obs::NotifyTrainEpoch); empty = silent (e.g. tuner trial fits).

@@ -21,10 +21,19 @@ std::vector<double> Estimator::EstimateBatch(
   const Matrix& queries = *request.queries;
   out.reserve(queries.rows());
   for (size_t r = 0; r < queries.rows(); ++r) {
-    const float tau = r < request.taus.size() ? request.taus[r] : 0.0f;
+    if (r >= request.taus.size()) {
+      // A row without a tau answers 0, as GlEstimator's batch path does.
+      if (obs::MetricsEnabled()) {
+        static obs::Counter* const invalid =
+            obs::GetCounter("simcard.fallback.invalid_tau");
+        invalid->Increment();
+      }
+      out.push_back(0.0);
+      continue;
+    }
     out.push_back(Estimate(EstimateRequest{
-        std::span<const float>(queries.Row(r), queries.cols()), tau,
-        request.options}));
+        std::span<const float>(queries.Row(r), queries.cols()),
+        request.taus[r], request.options}));
   }
   return out;
 }

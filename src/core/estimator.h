@@ -145,7 +145,8 @@ class Estimator {
   /// Estimated card(q_i, tau_i, D) for every row of the batch. The default
   /// loops Estimate per row; batch-native estimators (GlEstimator) override
   /// with one forward pass per segment and guarantee bitwise-identical
-  /// per-row answers.
+  /// per-row answers. Either way a row past the end of `taus` answers 0
+  /// and counts simcard.fallback.invalid_tau.
   virtual std::vector<double> EstimateBatch(
       const BatchEstimateRequest& request);
 

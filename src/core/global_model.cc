@@ -1,20 +1,11 @@
 #include "core/global_model.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <limits>
 #include <memory>
 
-#include "common/fault.h"
-#include "common/stopwatch.h"
+#include "core/train_loop.h"
 #include "nn/activations.h"
-#include "nn/linear.h"
 #include "nn/losses.h"
-#include "nn/optimizer.h"
-#include "nn/positive_linear.h"
-#include "obs/training_observer.h"
-#include "tensor/ops.h"
 
 namespace simcard {
 
@@ -63,125 +54,26 @@ Result<std::unique_ptr<GlobalModel>> GlobalModel::Build(
     return Status::InvalidArgument(
         "GlobalModel: query_dim and num_segments must be positive");
   }
+  CardModelConfig net;
+  net.query_dim = config.query_dim;
+  net.use_cnn_query_tower = config.use_cnn_query_tower;
+  net.qes = config.qes;
+  net.mlp_hidden = config.mlp_hidden;
+  net.query_embed = config.query_embed;
+  net.tau_hidden = config.tau_hidden;
+  net.tau_embed = config.tau_embed;
+  net.aux_dim = config.num_segments;  // x_C
+  net.aux_hidden = config.aux_hidden;
+  net.head_hidden = config.head_hidden;
+  // One logit per segment: the head's monotone branch is the learnable
+  // pre-sigmoid threshold of Section 5.1, and its free branch discriminates
+  // segments from (z_q, z_C).
+  auto net_or = CardModel::Build(net, /*out_dim=*/config.num_segments, rng);
+  if (!net_or.ok()) return net_or.status();
   auto model = std::unique_ptr<GlobalModel>(new GlobalModel());
   model->config_ = config;
-
-  if (config.use_cnn_query_tower) {
-    auto tower_or = BuildQesTower(config.query_dim, config.qes, rng,
-                                  &model->query_embed_dim_);
-    if (!tower_or.ok()) return tower_or.status();
-    model->query_tower_ = std::move(tower_or.value());
-  } else {
-    model->query_embed_dim_ = config.query_embed;
-    auto tower = std::make_unique<nn::Sequential>();
-    tower->Emplace<nn::Linear>(config.query_dim, config.mlp_hidden, rng);
-    tower->Emplace<nn::Relu>();
-    tower->Emplace<nn::Linear>(config.mlp_hidden, config.query_embed, rng);
-    tower->Emplace<nn::Relu>();
-    model->query_tower_ = std::move(tower);
-  }
-
-  model->tau_embed_dim_ = config.tau_embed;
-  {
-    // Staggered first-layer biases: hinge basis over the standardized tau
-    // range (see card_model.cc's BuildTauTower).
-    auto tower = std::make_unique<nn::Sequential>();
-    auto* first = tower->Emplace<nn::PositiveLinear>(1, config.tau_hidden, rng);
-    first->InitBiasUniform(-2.0f, 2.0f, rng);
-    tower->Emplace<nn::Relu>();
-    tower->Emplace<nn::PositiveLinear>(config.tau_hidden, config.tau_embed,
-                                       rng);
-    tower->Emplace<nn::Relu>();
-    model->tau_tower_ = std::move(tower);
-  }
-
-  model->aux_embed_dim_ = config.aux_hidden;
-  {
-    auto tower = std::make_unique<nn::Sequential>();
-    tower->Emplace<nn::Linear>(config.num_segments, config.aux_hidden, rng);
-    tower->Emplace<nn::Relu>();
-    tower->Emplace<nn::Linear>(config.aux_hidden, config.aux_hidden, rng);
-    tower->Emplace<nn::Relu>();
-    model->aux_tower_ = std::move(tower);
-  }
-
-  const size_t concat = model->query_embed_dim_ + model->tau_embed_dim_ +
-                        model->aux_embed_dim_;
-  // Two-branch head: logits are non-decreasing in tau through the monotone
-  // branch (the learnable pre-sigmoid threshold of Section 5.1) while the
-  // free branch discriminates segments from (z_q, z_C) without constraint.
-  model->head_ = std::make_unique<nn::MonotoneHead>(
-      concat,
-      /*tau_begin=*/model->query_embed_dim_,
-      /*tau_end=*/model->query_embed_dim_ + model->tau_embed_dim_,
-      /*mono_hidden=*/std::max<size_t>(8, config.head_hidden / 4),
-      /*free_hidden=*/config.head_hidden, /*out_dim=*/config.num_segments,
-      rng);
+  model->net_ = std::move(net_or).value();
   return model;
-}
-
-Matrix GlobalModel::NormalizeTau(const Matrix& xtau) const {
-  Matrix out = xtau;
-  float* d = out.data();
-  for (size_t i = 0; i < out.size(); ++i) {
-    d[i] = (d[i] - tau_shift_) / tau_scale_;
-  }
-  return out;
-}
-
-Matrix GlobalModel::NormalizeXc(const Matrix& xc) const {
-  if (xc_shift_.empty()) return xc;
-  assert(xc.cols() == xc_shift_.size());
-  Matrix out = xc;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.Row(r);
-    for (size_t c = 0; c < out.cols(); ++c) {
-      row[c] = (row[c] - xc_shift_[c]) / xc_scale_[c];
-    }
-  }
-  return out;
-}
-
-void GlobalModel::SetInputNormalization(float tau_shift, float tau_scale,
-                                        std::vector<float> xc_shift,
-                                        std::vector<float> xc_scale) {
-  tau_shift_ = tau_shift;
-  tau_scale_ = tau_scale > 1e-12f ? tau_scale : 1.0f;
-  xc_shift_ = std::move(xc_shift);
-  xc_scale_ = std::move(xc_scale);
-  for (auto& s : xc_scale_) {
-    if (s <= 1e-12f) s = 1.0f;
-  }
-}
-
-Matrix GlobalModel::ForwardLogits(const Matrix& xq, const Matrix& xtau,
-                                  const Matrix& xc) {
-  assert(xq.rows() == xtau.rows() && xq.rows() == xc.rows());
-  std::vector<Matrix> parts;
-  parts.push_back(query_tower_->Forward(xq));
-  parts.push_back(tau_tower_->Forward(NormalizeTau(xtau)));
-  parts.push_back(aux_tower_->Forward(NormalizeXc(xc)));
-  return head_->Forward(ConcatCols(parts));
-}
-
-Matrix GlobalModel::ApplyLogits(const Matrix& xq, const Matrix& xtau,
-                                const Matrix& xc) const {
-  assert(xq.rows() == xtau.rows() && xq.rows() == xc.rows());
-  std::vector<Matrix> parts;
-  parts.push_back(query_tower_->Apply(xq));
-  parts.push_back(tau_tower_->Apply(NormalizeTau(xtau)));
-  parts.push_back(aux_tower_->Apply(NormalizeXc(xc)));
-  return head_->Apply(ConcatCols(parts));
-}
-
-void GlobalModel::Backward(const Matrix& grad) {
-  Matrix gh = head_->Backward(grad);
-  size_t offset = 0;
-  query_tower_->Backward(gh.SliceCols(offset, offset + query_embed_dim_));
-  offset += query_embed_dim_;
-  tau_tower_->Backward(gh.SliceCols(offset, offset + tau_embed_dim_));
-  offset += tau_embed_dim_;
-  aux_tower_->Backward(gh.SliceCols(offset, offset + aux_embed_dim_));
 }
 
 std::vector<float> GlobalModel::Probabilities(const float* query, float tau,
@@ -228,54 +120,24 @@ void GlobalModel::SelectSegmentsInto(std::span<const float> probs,
   }
 }
 
-std::vector<nn::Parameter*> GlobalModel::Parameters() {
-  std::vector<nn::Parameter*> out = query_tower_->Parameters();
-  for (nn::Layer* layer : {static_cast<nn::Layer*>(tau_tower_.get()),
-                           static_cast<nn::Layer*>(aux_tower_.get()),
-                           static_cast<nn::Layer*>(head_.get())}) {
-    auto ps = layer->Parameters();
-    out.insert(out.end(), ps.begin(), ps.end());
-  }
-  return out;
-}
-
-std::vector<const nn::Parameter*> GlobalModel::Parameters() const {
-  std::vector<const nn::Parameter*> out =
-      static_cast<const nn::Layer*>(query_tower_.get())->Parameters();
-  for (const nn::Layer* layer :
-       {static_cast<const nn::Layer*>(tau_tower_.get()),
-        static_cast<const nn::Layer*>(aux_tower_.get()),
-        static_cast<const nn::Layer*>(head_.get())}) {
-    auto ps = layer->Parameters();
-    out.insert(out.end(), ps.begin(), ps.end());
-  }
-  return out;
-}
-
-size_t GlobalModel::NumScalars() const {
-  return nn::CountScalars(Parameters());
-}
-
+// G's layout is CardModel's without the aux-presence word: G always has
+// its x_C tower.
 void GlobalModel::Serialize(Serializer* out) const {
-  out->WriteF32(tau_shift_);
-  out->WriteF32(tau_scale_);
-  out->WriteFloatVector(xc_shift_);
-  out->WriteFloatVector(xc_scale_);
-  query_tower_->Serialize(out);
-  tau_tower_->Serialize(out);
-  aux_tower_->Serialize(out);
-  head_->Serialize(out);
+  const CardModel& net = *net_;
+  net.SerializeNormalization(out);
+  net.query_tower_->Serialize(out);
+  net.tau_tower_->Serialize(out);
+  net.aux_tower_->Serialize(out);
+  net.head_->Serialize(out);
 }
 
 Status GlobalModel::Deserialize(Deserializer* in) {
-  SIMCARD_RETURN_IF_ERROR(in->ReadF32(&tau_shift_));
-  SIMCARD_RETURN_IF_ERROR(in->ReadF32(&tau_scale_));
-  SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&xc_shift_));
-  SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&xc_scale_));
-  SIMCARD_RETURN_IF_ERROR(query_tower_->Deserialize(in));
-  SIMCARD_RETURN_IF_ERROR(tau_tower_->Deserialize(in));
-  SIMCARD_RETURN_IF_ERROR(aux_tower_->Deserialize(in));
-  return head_->Deserialize(in);
+  CardModel& net = *net_;
+  SIMCARD_RETURN_IF_ERROR(net.DeserializeNormalization(in));
+  SIMCARD_RETURN_IF_ERROR(net.query_tower_->Deserialize(in));
+  SIMCARD_RETURN_IF_ERROR(net.tau_tower_->Deserialize(in));
+  SIMCARD_RETURN_IF_ERROR(net.aux_tower_->Deserialize(in));
+  return net.head_->Deserialize(in);
 }
 
 void GlobalModel::SaveWithConfig(Serializer* out) const {
@@ -300,123 +162,38 @@ Result<double> TrainGlobalModel(GlobalModel* model, const Matrix& queries,
                                 const GlobalTrainOptions& options) {
   const size_t total = labels.samples.size();
   if (total == 0) return 0.0;
-  Rng rng(options.seed);
+  // Refit on every call, fine-tunes included.
+  FitInputNormalization(model, labels.samples, &xc_features);
 
-  // Fit input standardization (see header).
-  {
-    double tau_mean = 0.0;
-    double tau_sq = 0.0;
-    for (const auto& s : labels.samples) {
-      tau_mean += s.tau;
-      tau_sq += static_cast<double>(s.tau) * s.tau;
-    }
-    tau_mean /= static_cast<double>(total);
-    const double tau_var = std::max(
-        0.0, tau_sq / static_cast<double>(total) - tau_mean * tau_mean);
-    const size_t cols = xc_features.cols();
-    std::vector<float> shift(cols, 0.0f);
-    std::vector<float> scale(cols, 1.0f);
-    std::vector<double> mean(cols, 0.0);
-    std::vector<double> sq(cols, 0.0);
-    for (size_t r = 0; r < xc_features.rows(); ++r) {
-      const float* row = xc_features.Row(r);
-      for (size_t c = 0; c < cols; ++c) {
-        mean[c] += row[c];
-        sq[c] += static_cast<double>(row[c]) * row[c];
-      }
-    }
-    for (size_t c = 0; c < cols; ++c) {
-      mean[c] /= static_cast<double>(xc_features.rows());
-      const double var =
-          std::max(0.0, sq[c] / static_cast<double>(xc_features.rows()) -
-                            mean[c] * mean[c]);
-      shift[c] = static_cast<float>(mean[c]);
-      scale[c] = static_cast<float>(std::sqrt(var));
-    }
-    model->SetInputNormalization(static_cast<float>(tau_mean),
-                                 static_cast<float>(std::sqrt(tau_var)),
-                                 std::move(shift), std::move(scale));
-  }
-
-  float lr = options.lr;
-  auto opt = std::make_unique<nn::Adam>(model->Parameters(), lr);
   nn::WeightedBceLoss loss;
   const size_t n_seg = labels.labels.cols();
-  DivergenceWatchdog watchdog(options.watchdog, model->Parameters(),
-                              options.observer_tag.empty()
-                                  ? std::string("global")
-                                  : options.observer_tag);
-
   std::vector<size_t> order(total);
   for (size_t i = 0; i < total; ++i) order[i] = i;
-
-  Stopwatch total_watch;
-  Stopwatch epoch_watch;
-  double best = std::numeric_limits<double>::infinity();
-  size_t stall = 0;
-  size_t epochs_run = 0;
-  double last_good_loss = 0.0;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    epoch_watch.Restart();
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t batches = 0;
-    for (size_t first = 0; first < total; first += options.batch_size) {
-      const size_t count = std::min(options.batch_size, total - first);
-      Matrix xq(count, queries.cols());
-      Matrix xtau(count, 1);
-      Matrix xc(count, xc_features.cols());
-      Matrix target(count, n_seg);
-      Matrix penalty(count, n_seg);
-      for (size_t i = 0; i < count; ++i) {
-        const size_t idx = order[first + i];
-        const SampleRef& s = labels.samples[idx];
-        xq.SetRow(i, queries.Row(s.query_row));
-        xtau.at(i, 0) = s.tau;
-        xc.SetRow(i, xc_features.Row(s.query_row));
-        target.SetRow(i, labels.labels.Row(idx));
-        if (options.use_penalty) {
-          penalty.SetRow(i, labels.penalty.Row(idx));
+  return RunTrainingEpochs(
+      model, options, "global", &order, [&](size_t first, size_t count) {
+        Matrix xq(count, queries.cols());
+        Matrix xtau(count, 1);
+        Matrix xc(count, xc_features.cols());
+        Matrix target(count, n_seg);
+        Matrix penalty(count, n_seg);
+        for (size_t i = 0; i < count; ++i) {
+          const size_t idx = order[first + i];
+          const SampleRef& s = labels.samples[idx];
+          xq.SetRow(i, queries.Row(s.query_row));
+          xtau.at(i, 0) = s.tau;
+          xc.SetRow(i, xc_features.Row(s.query_row));
+          target.SetRow(i, labels.labels.Row(idx));
+          if (options.use_penalty) {
+            penalty.SetRow(i, labels.penalty.Row(idx));
+          }
         }
-      }
-      opt->ZeroGrad();
-      Matrix logits = model->ForwardLogits(xq, xtau, xc);
-      Matrix grad;
-      epoch_loss += loss.Compute(logits, target, penalty, &grad);
-      model->Backward(grad);
-      opt->ClipGradNorm(options.grad_clip_norm);
-      opt->Step();
-      ++batches;
-    }
-    epoch_loss /= static_cast<double>(std::max<size_t>(1, batches));
-    if (fault::ShouldFail("train.nan_loss")) {
-      epoch_loss = std::numeric_limits<double>::quiet_NaN();
-    }
-    switch (watchdog.Observe(epoch, epoch_loss, &lr)) {
-      case DivergenceWatchdog::Verdict::kOk:
-        break;
-      case DivergenceWatchdog::Verdict::kRolledBack:
-        opt = std::make_unique<nn::Adam>(model->Parameters(), lr);
-        continue;
-      case DivergenceWatchdog::Verdict::kExhausted:
-        obs::NotifyTrainEnd(options.observer_tag, epochs_run, last_good_loss,
-                            total_watch.ElapsedSeconds());
-        return watchdog.ExhaustedStatus();
-    }
-    last_good_loss = epoch_loss;
-    epochs_run = epoch + 1;
-    obs::NotifyTrainEpoch(options.observer_tag, epoch, epoch_loss,
-                          epoch_watch.ElapsedSeconds());
-    if (epoch_loss < best * (1.0 - options.min_improvement)) {
-      best = epoch_loss;
-      stall = 0;
-    } else if (++stall >= options.patience) {
-      break;
-    }
-  }
-  obs::NotifyTrainEnd(options.observer_tag, epochs_run, last_good_loss,
-                      total_watch.ElapsedSeconds());
-  return last_good_loss;
+        Matrix logits = model->ForwardLogits(xq, xtau, xc);
+        Matrix grad;
+        const double batch_loss =
+            loss.Compute(logits, target, penalty, &grad);
+        model->Backward(grad);
+        return batch_loss;
+      });
 }
 
 }  // namespace simcard

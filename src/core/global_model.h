@@ -6,22 +6,22 @@
 // query. Local models are evaluated only for segments whose probability
 // exceeds sigma.
 //
-// The logits are monotone in tau by the same construction as CardModel (a
-// positive-weight tau path plus all-positive output weights acts as the
-// paper's "learnable threshold before the Sigmoid activator"). Training uses
-// the cardinality-weighted BCE loss whose (1+eps) penalty keeps segments
-// with large cardinalities from being missed (Exp-6 / Figure 9).
+// G is the CardModel network built num_segments wide, with x_C as its
+// distance feature, so its logits are monotone in tau by the same
+// construction (a positive-weight tau path plus all-positive output weights
+// acts as the paper's "learnable threshold before the Sigmoid activator").
+// What is G's own: its config, the sigmoid, sigma selection and its on-disk
+// layout. Training runs the shared loop (core/train_loop.h) with the
+// cardinality-weighted BCE loss whose (1+eps) penalty keeps segments with
+// large cardinalities from being missed (Exp-6 / Figure 9).
 #ifndef SIMCARD_CORE_GLOBAL_MODEL_H_
 #define SIMCARD_CORE_GLOBAL_MODEL_H_
 
 #include <memory>
 #include <span>
+#include <utility>
 
-#include "core/qes.h"
-#include "core/train_watchdog.h"
-#include "nn/monotone_head.h"
-#include "nn/sequential.h"
-#include "workload/labels.h"
+#include "core/card_model.h"
 
 namespace simcard {
 
@@ -54,15 +54,19 @@ class GlobalModel {
 
   /// Pre-sigmoid segment scores, [B, num_segments].
   Matrix ForwardLogits(const Matrix& xq, const Matrix& xtau,
-                       const Matrix& xc);
+                       const Matrix& xc) {
+    return net_->Forward(xq, xtau, xc);
+  }
 
   /// Backprop for the last ForwardLogits; `grad` is [B, num_segments].
-  void Backward(const Matrix& grad);
+  void Backward(const Matrix& grad) { net_->Backward(grad); }
 
   /// Stateless inference twin of ForwardLogits (nn::Layer::Apply path): no
   /// cached activations, safe for concurrent callers sharing one model.
   Matrix ApplyLogits(const Matrix& xq, const Matrix& xtau,
-                     const Matrix& xc) const;
+                     const Matrix& xc) const {
+    return net_->Apply(xq, xtau, xc);
+  }
 
   /// Per-segment selection probabilities for one query. Runs on the
   /// stateless Apply path, so it is const and thread-safe.
@@ -86,16 +90,21 @@ class GlobalModel {
   void SelectSegmentsInto(std::span<const float> probs,
                           std::vector<size_t>* out) const;
 
-  std::vector<nn::Parameter*> Parameters();
-  std::vector<const nn::Parameter*> Parameters() const;
-  size_t NumScalars() const;
+  std::vector<nn::Parameter*> Parameters() { return net_->Parameters(); }
+  std::vector<const nn::Parameter*> Parameters() const {
+    return std::as_const(*net_).Parameters();
+  }
+  size_t NumScalars() const { return net_->NumScalars(); }
 
   /// Input standardization (see CardModel::SetInputNormalization): tau gets
   /// a positive-scale affine transform (monotonicity preserved), x_C is
   /// z-scored per column. Fitted by TrainGlobalModel.
   void SetInputNormalization(float tau_shift, float tau_scale,
                              std::vector<float> xc_shift,
-                             std::vector<float> xc_scale);
+                             std::vector<float> xc_scale) {
+    net_->SetInputNormalization(tau_shift, tau_scale, std::move(xc_shift),
+                                std::move(xc_scale));
+  }
 
   float sigma() const { return config_.sigma; }
   const GlobalModelConfig& config() const { return config_; }
@@ -111,21 +120,9 @@ class GlobalModel {
  private:
   GlobalModel() = default;
 
-  Matrix NormalizeTau(const Matrix& xtau) const;
-  Matrix NormalizeXc(const Matrix& xc) const;
-
   GlobalModelConfig config_;
-  std::unique_ptr<nn::Sequential> query_tower_;  // E4
-  std::unique_ptr<nn::Sequential> tau_tower_;    // E5
-  std::unique_ptr<nn::Sequential> aux_tower_;    // E6
-  std::unique_ptr<nn::MonotoneHead> head_;      // G's output module
-  size_t query_embed_dim_ = 0;
-  size_t tau_embed_dim_ = 0;
-  size_t aux_embed_dim_ = 0;
-  float tau_shift_ = 0.0f;
-  float tau_scale_ = 1.0f;
-  std::vector<float> xc_shift_;
-  std::vector<float> xc_scale_;
+  /// E4 (query), E5 (tau), E6 (x_C) and G's output module.
+  std::unique_ptr<CardModel> net_;
 };
 
 /// \brief Options for TrainGlobalModel (Algorithm 2).

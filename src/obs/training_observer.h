@@ -1,8 +1,9 @@
 // Per-epoch training callbacks.
 //
-// Training loops (TrainCardModel, TrainGlobalModel, MiniBatchKMeans, the
-// QES tuner) report progress through NotifyTrainEpoch/NotifyTrainEnd. Two
-// consumers exist:
+// Training loops report progress through NotifyTrainEpoch/NotifyTrainEnd:
+// the one epoch loop behind TrainCardModel and TrainGlobalModel
+// (core/train_loop.h; the QES tuner's trial fits run it too) and
+// MiniBatchKMeans. Two consumers exist:
 //
 //  * registered TrainingObserver implementations (progress bars, early
 //    aborts, experiment sweeps) — always called;

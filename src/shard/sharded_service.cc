@@ -103,8 +103,9 @@ ShardedEstimationService::ShardedEstimationService(
     // shard mid-crash-recovery (unpublished model) still answers from its
     // previous model's retained samples.
     Shard* raw = shard.get();
-    auto retain = [raw, k](const serve::ModelSnapshot& snap) {
+    auto retain = [this, raw, k](const serve::ModelSnapshot& snap) {
       if (snap.estimator != nullptr) {
+        model_dim_.store(snap.estimator->dim(), std::memory_order_relaxed);
         const double population = SnapshotPopulation(*snap.estimator);
         std::lock_guard<std::mutex> lock(raw->mu);
         raw->fallback_model = snap.estimator;
@@ -260,8 +261,9 @@ ShardedEstimateResponse ShardedEstimationService::Estimate(
   response.shard_epochs.resize(shards_.size(), 0);
   if (metrics) m.requests->Increment();
 
-  if (request.query.empty() || !std::isfinite(request.tau) ||
-      request.tau < 0.0f) {
+  const size_t dim = model_dim_.load(std::memory_order_relaxed);
+  if (request.query.empty() || (dim != 0 && request.query.size() != dim) ||
+      !std::isfinite(request.tau) || request.tau < 0.0f) {
     response.status =
         Status::InvalidArgument("sharded estimate: bad query or tau");
     return response;

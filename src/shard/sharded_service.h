@@ -150,7 +150,10 @@ class ShardedEstimationService {
       delete;
 
   /// Scatter, gather, and sum on the calling thread. Always returns within
-  /// the request deadline (plus the hedge computation, microseconds).
+  /// the request deadline (plus the hedge computation, microseconds). A
+  /// query whose length is not the shards' model dim, or a bad tau, is
+  /// refused with InvalidArgument before the scatter, as the unsharded
+  /// service refuses it: no breaker, hedge or shard counter moves.
   ShardedEstimateResponse Estimate(const EstimateRequest& request);
 
   /// Estimate() on the gather pool.
@@ -239,6 +242,9 @@ class ShardedEstimationService {
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardedServeOptions options_;
   std::unique_ptr<ThreadPool> gather_pool_;
+  /// Query width of the last published model (every shard partitions one
+  /// dataset); 0 until a shard publishes.
+  std::atomic<size_t> model_dim_{0};
   std::atomic<uint64_t> next_request_id_{1};
   std::atomic<uint64_t> hedges_fired_{0};
   std::atomic<uint64_t> hedges_won_{0};

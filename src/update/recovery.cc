@@ -191,8 +191,8 @@ Result<std::unique_ptr<UpdateManager>> UpdateManager::RecoverFrom(
         "recovered model segmentation disagrees with dataset epoch");
   }
 
-  // Workload: queries + taus persist; labels and profiles are derived, so
-  // rebuild them against the recovered dataset/segmentation.
+  // Workload: queries + taus persist; labels are derived, so rebuild them
+  // against the recovered dataset/segmentation.
   auto wl_in_or = Deserializer::FromFile(dir + "/" + manifest.workload_file);
   SIMCARD_RETURN_IF_ERROR(wl_in_or.status());
   Deserializer wl_in = std::move(wl_in_or).value();

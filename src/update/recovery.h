@@ -4,7 +4,7 @@
 //
 //   MANIFEST            commit point: which epoch's files are authoritative
 //   workload.bin        query objects + taus (written once at Start; labels
-//                       and profiles are rebuilt by RelabelWorkload)
+//                       are rebuilt by RelabelWorkload, profiles not kept)
 //   model-<E>.bin       GlEstimator checked container for epoch E
 //   dataset-<E>.bin     the authoritative dataset at epoch E
 //   journal-<E>.wal     every delta acknowledged while E was served

@@ -75,6 +75,10 @@ UpdateManager::UpdateManager(Dataset dataset, SearchWorkload workload,
       registry_(registry),
       options_(options),
       monitor_(options.drift) {
+  // Refreshes copy and relabel the workload, and a relabel drops profiles
+  // anyway: keep the labels only.
+  workload_.train_profiles.clear();
+  workload_.test_profiles.clear();
   buffer_.SetCapacity(options_.delta_capacity);
 }
 

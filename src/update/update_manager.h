@@ -120,7 +120,8 @@ struct RefreshOutcome {
 /// meant for single-threaded benchmarking and tests.
 class UpdateManager {
  public:
-  /// `registry` must outlive the manager.
+  /// `registry` must outlive the manager. The manager keeps the workload's
+  /// labels but drops its distance profiles (see RelabelWorkload).
   UpdateManager(Dataset dataset, SearchWorkload workload,
                 serve::ModelRegistry* registry, UpdateOptions options);
 

@@ -55,14 +55,12 @@ Status CheckSegmentation(const Segmentation* seg, size_t n) {
   return Status::OK();
 }
 
-// Gives a kept profile fresh storage of exactly the size FillProfile
-// writes, so LabelQuery never reallocates it: it may run on a pool worker,
-// and memory a pool thread allocates lives in that thread's malloc arena and
-// stays resident there. (Growing the old storage instead would also double
-// its capacity.)
+// Gives a new kept profile storage of exactly the size FillProfile writes,
+// so LabelQuery never reallocates it: it may run on a pool worker, and
+// memory a pool thread allocates lives in that thread's malloc arena and
+// stays resident there.
 void ReserveProfile(size_t n, const Segmentation* seg,
                     QueryDistanceProfile* profile) {
-  *profile = QueryDistanceProfile{};
   profile->distances.reserve(n);
   if (seg != nullptr) profile->seg_ends.reserve(seg->num_segments());
 }
@@ -222,33 +220,26 @@ Status RelabelWorkload(const Dataset& dataset, const Segmentation* seg,
     return Status::InvalidArgument("RelabelWorkload: dimension mismatch");
   }
   SIMCARD_RETURN_IF_ERROR(CheckSegmentation(seg, dataset.size()));
+  // Kept profiles describe the dataset they were built on, and nothing
+  // reads them after a relabel, so they are dropped rather than rebuilt.
+  workload->train_profiles.clear();
+  workload->test_profiles.clear();
   GroundTruth gt(&dataset);
-  // One query at a time, on this thread: a relabel runs on the refresh path
-  // and rebuilds any kept profiles, whose storage should not move into the
-  // pool threads' malloc arenas.
+  // One query at a time, on this thread: a relabel runs on the refresh
+  // path, beside serving.
   const auto relabel = [&](const Matrix& queries,
-                           std::vector<LabeledQuery>* set,
-                           std::vector<QueryDistanceProfile>* profiles) {
-    const bool keep = profiles->size() == set->size();
-    for (size_t i = 0; i < set->size(); ++i) {
-      LabeledQuery& lq = (*set)[i];
+                           std::vector<LabeledQuery>* set) {
+    for (LabeledQuery& lq : *set) {
       if (lq.row >= queries.rows()) {
         return Status::InvalidArgument(
             "RelabelWorkload: query row out of range");
       }
-      QueryDistanceProfile* profile = nullptr;
-      if (keep) {
-        profile = &(*profiles)[i];
-        ReserveProfile(dataset.size(), seg, profile);
-      }
-      LabelQuery(gt, seg, queries.Row(lq.row), {}, &lq, profile);
+      LabelQuery(gt, seg, queries.Row(lq.row), {}, &lq, nullptr);
     }
     return Status::OK();
   };
-  SIMCARD_RETURN_IF_ERROR(relabel(workload->train_queries, &workload->train,
-                                  &workload->train_profiles));
-  return relabel(workload->test_queries, &workload->test,
-                 &workload->test_profiles);
+  SIMCARD_RETURN_IF_ERROR(relabel(workload->train_queries, &workload->train));
+  return relabel(workload->test_queries, &workload->test);
 }
 
 namespace {
@@ -303,10 +294,6 @@ Result<SearchWorkload> DeserializeQueries(Deserializer* in) {
   SIMCARD_RETURN_IF_ERROR(wl.test_queries.Deserialize(in));
   SIMCARD_RETURN_IF_ERROR(DeserializeQuerySet(in, &wl.train));
   SIMCARD_RETURN_IF_ERROR(DeserializeQuerySet(in, &wl.test));
-  // Pre-size the profile slots so the first RelabelWorkload rebuilds and
-  // keeps them (it only stores profiles when the sizes already agree).
-  wl.train_profiles.resize(wl.train.size());
-  wl.test_profiles.resize(wl.test.size());
   return wl;
 }
 

@@ -43,8 +43,8 @@ struct SearchWorkload {
   std::vector<LabeledQuery> test;
   /// Distance profiles, kept when options.keep_profiles: each query's n
   /// distances, stored once as one ascending run per segment. Only join-set
-  /// labelling (BuildJoinWorkload) reads them; RelabelWorkload rescans the
-  /// dataset and rebuilds them.
+  /// labelling (BuildJoinWorkload) reads them, on a freshly built workload;
+  /// RelabelWorkload drops them.
   std::vector<QueryDistanceProfile> train_profiles;
   std::vector<QueryDistanceProfile> test_profiles;
   /// Wall-clock cost of label construction (the Fig 14 "label time").
@@ -67,8 +67,9 @@ Result<SearchWorkload> BuildSearchWorkload(const Dataset& dataset,
                                            const WorkloadOptions& options);
 
 /// Recomputes every label in `workload` against the (mutated) dataset.
-/// Used after Append()/Truncate() in the incremental-update experiments;
-/// profiles are rebuilt as well.
+/// Used after Append()/Truncate() in the incremental-update experiments and
+/// on every refresh. Kept profiles are dropped, not rebuilt: they describe
+/// the old dataset, and nothing reads them after a relabel.
 Status RelabelWorkload(const Dataset& dataset, const Segmentation* seg,
                        SearchWorkload* workload);
 
@@ -78,8 +79,8 @@ Status RelabelWorkload(const Dataset& dataset, const Segmentation* seg,
 /// against whatever dataset epoch is recovered — so they are not written.
 void SerializeQueries(const SearchWorkload& workload, Serializer* out);
 
-/// Restores SerializeQueries output. The result has zeroed labels and
-/// default-sized profiles; callers must RelabelWorkload before use.
+/// Restores SerializeQueries output. The result has zeroed labels and no
+/// profiles; callers must RelabelWorkload before use.
 Result<SearchWorkload> DeserializeQueries(Deserializer* in);
 
 }  // namespace simcard

@@ -22,6 +22,7 @@
 #include "dist/metric.h"
 #include "baselines/sampling_estimator.h"
 #include "eval/harness.h"
+#include "obs/metrics.h"
 
 namespace simcard {
 namespace {
@@ -228,6 +229,44 @@ TEST(BatchParityTest, DefaultEstimateBatchLoopsSingle) {
     single.tau = taus[i];
     EXPECT_EQ(batch[i], est.Estimate(single)) << "row " << i;
   }
+}
+
+// The default loop's twin of ShortTauSpanZeroesTail: a row without a tau
+// answers 0 and counts simcard.fallback.invalid_tau. On a Hamming dataset
+// with the whole dataset as the sample, each row lies at distance exactly 0
+// from itself, so estimating such a row at tau 0 would answer at least 1.
+TEST(BatchParityTest, DefaultBatchShortTauSpanZeroesTail) {
+  const Dataset data =
+      MakeAnalogDataset("imagenet-sim", Scale::kTiny, 3).value();
+  ASSERT_EQ(data.metric(), Metric::kHamming);
+  SamplingEstimator est("Sampling (100%)", 1.0);
+  TrainContext ctx;
+  ctx.dataset = &data;
+  ASSERT_TRUE(est.Train(ctx).ok());
+
+  Matrix queries(3, data.dim());
+  for (size_t i = 0; i < 3; ++i) queries.SetRow(i, data.points().Row(i));
+  const std::vector<float> taus = {0.25f};  // rows 1..2 have no tau
+  BatchEstimateRequest request;
+  request.queries = &queries;
+  request.taus = std::span<const float>(taus.data(), taus.size());
+
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter* invalid_tau = obs::GetCounter("simcard.fallback.invalid_tau");
+  const int64_t before = invalid_tau->Value();
+  const std::vector<double> batch = est.EstimateBatch(request);
+  const int64_t counted = invalid_tau->Value() - before;
+  obs::SetMetricsEnabled(was_enabled);
+
+  ASSERT_EQ(batch.size(), 3u);
+  EstimateRequest single;
+  single.query = std::span<const float>(queries.Row(0), data.dim());
+  single.tau = 0.25f;
+  EXPECT_EQ(batch[0], est.Estimate(single));
+  EXPECT_EQ(batch[1], 0.0);
+  EXPECT_EQ(batch[2], 0.0);
+  EXPECT_EQ(counted, 2);
 }
 
 // The batched distance kernel behind the feature builders must reproduce the

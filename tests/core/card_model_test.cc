@@ -167,25 +167,46 @@ TEST(CardModelTest, InputNormalizationPreservesMonotonicity) {
   }
 }
 
+// SaveWithConfig/LoadWithConfig restore the model exactly, with either
+// query tower: the same estimate bit for bit, and the same bytes on a
+// second save.
 TEST(CardModelTest, SerializationRoundTrip) {
-  Rng rng(14);
-  CardModelConfig config = MlpConfig();
-  auto model = CardModel::Build(config, &rng).value();
-  model->SetInputNormalization(0.1f, 0.05f, std::vector<float>(4, 1.0f),
-                               std::vector<float>(4, 2.0f));
-  std::vector<float> q(8, 0.7f);
-  std::vector<float> aux(4, 0.2f);
-  const double before = model->EstimateCard(q.data(), 0.3f, aux.data());
+  for (const bool cnn : {false, true}) {
+    SCOPED_TRACE(cnn ? "QES tower" : "MLP tower");
+    Rng rng(14);
+    CardModelConfig config = MlpConfig(32, 4);
+    config.use_cnn_query_tower = cnn;
+    config.qes = QesConfig::Default(32);
+    auto model = CardModel::Build(config, &rng).value();
+    model->SetInputNormalization(0.1f, 0.05f, std::vector<float>(4, 1.0f),
+                                 std::vector<float>(4, 2.0f));
+    const Matrix q = Matrix::Gaussian(1, 32, 1.0f, &rng);
+    const Matrix aux = Matrix::Gaussian(1, 4, 1.0f, &rng);
+    const double before = model->EstimateCard(q.Row(0), 0.3f, aux.Row(0));
 
+    Serializer out;
+    model->SaveWithConfig(&out);
+    Deserializer in(out.bytes());
+    auto restored_or = CardModel::LoadWithConfig(&in);
+    ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+    const auto restored = std::move(restored_or).value();
+    EXPECT_EQ(restored->EstimateCard(q.Row(0), 0.3f, aux.Row(0)), before);
+    Serializer again;
+    restored->SaveWithConfig(&again);
+    EXPECT_EQ(again.bytes(), out.bytes());
+  }
+}
+
+// A loaded aux standardization must be as wide as the aux input:
+// NormalizeAux indexes it by column, so a narrower one would read past it.
+TEST(CardModelTest, LoadRejectsMisfitAuxNormalization) {
+  Rng rng(16);
+  auto model = CardModel::Build(MlpConfig(8, 4), &rng).value();
+  model->SetInputNormalization(0.0f, 1.0f, {0.0f}, {1.0f});
   Serializer out;
-  model->Serialize(&out);
-
-  Rng rng2(999);
-  auto restored = CardModel::Build(config, &rng2).value();
+  model->SaveWithConfig(&out);
   Deserializer in(out.bytes());
-  ASSERT_TRUE(restored->Deserialize(&in).ok());
-  EXPECT_NEAR(restored->EstimateCard(q.data(), 0.3f, aux.data()), before,
-              1e-6 * before);
+  EXPECT_FALSE(CardModel::LoadWithConfig(&in).ok());
 }
 
 TEST(CardModelTest, CnnTowerVariantBuildsAndRuns) {

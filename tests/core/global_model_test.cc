@@ -128,26 +128,46 @@ TEST(GlobalModelTest, TrainingLearnsRouting) {
   EXPECT_GT(static_cast<double>(hits) / total, 0.8);
 }
 
+// SaveWithConfig/LoadWithConfig restore G exactly, with either query
+// tower: the same probabilities bit for bit, and the same bytes on a second
+// save.
 TEST(GlobalModelTest, SerializationRoundTrip) {
-  Rng rng(8);
-  GlobalModelConfig config = SmallConfig(8, 4);
-  auto model = GlobalModel::Build(config, &rng).value();
-  model->SetInputNormalization(0.2f, 0.1f, std::vector<float>(4, 0.5f),
-                               std::vector<float>(4, 0.2f));
-  std::vector<float> q(8, 0.3f);
-  std::vector<float> xc(4, 0.4f);
-  auto before = model->Probabilities(q.data(), 0.25f, xc.data());
+  for (const bool cnn : {false, true}) {
+    SCOPED_TRACE(cnn ? "QES tower" : "MLP tower");
+    Rng rng(8);
+    GlobalModelConfig config = SmallConfig(32, 4);
+    config.use_cnn_query_tower = cnn;
+    config.qes = QesConfig::Default(32);
+    auto model = GlobalModel::Build(config, &rng).value();
+    model->SetInputNormalization(0.2f, 0.1f, std::vector<float>(4, 0.5f),
+                                 std::vector<float>(4, 0.2f));
+    const Matrix q = Matrix::Gaussian(1, 32, 1.0f, &rng);
+    const Matrix xc = Matrix::Gaussian(1, 4, 1.0f, &rng);
+    const std::vector<float> before =
+        model->Probabilities(q.Row(0), 0.25f, xc.Row(0));
 
-  Serializer out;
-  model->Serialize(&out);
-  Rng rng2(99);
-  auto restored = GlobalModel::Build(config, &rng2).value();
-  Deserializer in(out.bytes());
-  ASSERT_TRUE(restored->Deserialize(&in).ok());
-  auto after = restored->Probabilities(q.data(), 0.25f, xc.data());
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_NEAR(before[s], after[s], 1e-6f);
+    Serializer out;
+    model->SaveWithConfig(&out);
+    Deserializer in(out.bytes());
+    auto restored_or = GlobalModel::LoadWithConfig(&in);
+    ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+    const auto restored = std::move(restored_or).value();
+    EXPECT_EQ(restored->Probabilities(q.Row(0), 0.25f, xc.Row(0)), before);
+    Serializer again;
+    restored->SaveWithConfig(&again);
+    EXPECT_EQ(again.bytes(), out.bytes());
   }
+}
+
+// A loaded x_C standardization must be one column per segment.
+TEST(GlobalModelTest, LoadRejectsMisfitXcNormalization) {
+  Rng rng(9);
+  auto model = GlobalModel::Build(SmallConfig(8, 4), &rng).value();
+  model->SetInputNormalization(0.0f, 1.0f, {0.0f, 0.0f}, {1.0f, 1.0f});
+  Serializer out;
+  model->SaveWithConfig(&out);
+  Deserializer in(out.bytes());
+  EXPECT_FALSE(GlobalModel::LoadWithConfig(&in).ok());
 }
 
 }  // namespace

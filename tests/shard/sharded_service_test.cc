@@ -333,6 +333,45 @@ TEST_F(ShardedServiceTest, ShardBreakerOpensAndProbesClosed) {
   EXPECT_FALSE(after.partial);
 }
 
+// A query of the wrong length is refused before the scatter, as the
+// unsharded service refuses it, so threshold-many of them open no breaker
+// and the next valid request is served whole.
+TEST_F(ShardedServiceTest, WrongLengthQueryRefusedBeforeScatter) {
+  ShardedServeOptions options;
+  options.breaker_failure_threshold = 2;
+  options.breaker_cooldown = 3;
+  Tier tier = MakeTier(2, options);
+  const Matrix& queries = SharedEnv().workload.test_queries;
+  const size_t dim = queries.cols();
+  const std::vector<float> wide(dim + 1, 0.5f);
+  auto counter = [](const char* name) {
+    return obs::GetCounter(name)->Value();
+  };
+  const int64_t trips = counter("simcard.shard.breaker_trips");
+  const int64_t failures = counter("simcard.shard.shard_failures");
+  const int64_t fallbacks = counter("simcard.shard.fallbacks");
+
+  for (uint32_t i = 0; i < options.breaker_failure_threshold; ++i) {
+    for (size_t len : {dim - 1, dim + 1}) {
+      ShardedEstimateResponse response =
+          tier.service->Estimate(MakeRequest(wide.data(), len, 0.1f));
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+          << "length " << len;
+      EXPECT_EQ(response.failed_mask, 0u);
+      EXPECT_EQ(response.fallback_mask, 0u);
+    }
+  }
+  ShardedEstimateResponse valid =
+      tier.service->Estimate(MakeRequest(queries.Row(0), dim, 0.1f));
+  EXPECT_TRUE(valid.status.ok()) << valid.status.ToString();
+  EXPECT_FALSE(valid.partial);
+  EXPECT_EQ(valid.fallback_mask, 0u);
+  EXPECT_EQ(counter("simcard.shard.breaker_trips"), trips);
+  EXPECT_EQ(counter("simcard.shard.shard_failures"), failures);
+  EXPECT_EQ(counter("simcard.shard.fallbacks"), fallbacks);
+  EXPECT_EQ(tier.service->hedges_fired(), 0u);
+}
+
 // No model ever published anywhere: every shard fails, the response is
 // kUnavailable with estimate 0 (still clamped, still within deadline).
 TEST_F(ShardedServiceTest, AllShardsFailedIsUnavailable) {
